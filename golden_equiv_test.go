@@ -11,8 +11,7 @@ import (
 	"semicont/internal/faults"
 )
 
-// Fixture loading and comparison live in golden_fixtures_test.go,
-// shared with the shard-determinism suite.
+// Fixture loading and comparison live in golden_fixtures_test.go.
 
 // Golden equivalence fixtures: fixed-seed results for a scenario matrix
 // spanning staging on/off × DRM hops × intermittent × patching (plus

@@ -6,10 +6,8 @@ import (
 	"testing"
 )
 
-// Shared golden-fixture plumbing: TestGoldenEquivalence pins the serial
-// engine to the checked-in results, and the shard-determinism suite
-// pins the sharded engine to the very same bytes, so the two suites
-// must load and compare fixtures identically.
+// Golden-fixture plumbing for TestGoldenEquivalence, which pins the
+// engine to the checked-in results byte for byte.
 
 const goldenEquivPath = "testdata/golden_equiv.json"
 
@@ -34,20 +32,8 @@ func loadGoldenFixtures(t testing.TB) []goldenEntry {
 	return want
 }
 
-// goldenFixtureMap indexes the fixtures by cell name.
-func goldenFixtureMap(t testing.TB) map[string]Result {
-	t.Helper()
-	entries := loadGoldenFixtures(t)
-	m := make(map[string]Result, len(entries))
-	for _, e := range entries {
-		m[e.Name] = e.Result
-	}
-	return m
-}
-
 // matchGolden demands that a run's Result equals its fixture
-// bit-for-bit; label names the run in the failure (cell name, plus the
-// shard count in the determinism suite).
+// bit-for-bit; label names the run's cell in the failure.
 func matchGolden(t testing.TB, label string, got, want Result) {
 	t.Helper()
 	if got != want {

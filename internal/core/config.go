@@ -317,13 +317,6 @@ type Config struct {
 	// CheckInvariants enables expensive model-invariant assertions after
 	// every event (tests use this; experiment runs leave it off).
 	CheckInvariants bool
-
-	// Shards partitions the servers into that many disjoint subsets,
-	// each advanced by its own event queue and merged deterministically
-	// so results are bit-identical to the serial engine at every shard
-	// count (see shard.go). 0 and 1 mean the serial engine; the count is
-	// capped at the number of servers.
-	Shards int
 }
 
 // RetryConfig controls the admission retry queue: rejected requests
@@ -492,9 +485,6 @@ func (c Config) Validate() error {
 	}
 	if c.ResumeGuard < 0 {
 		return fmt.Errorf("core: negative ResumeGuard %g", c.ResumeGuard)
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("core: negative Shards %d", c.Shards)
 	}
 	if c.Spare > EvenSplit {
 		return fmt.Errorf("core: unknown spare discipline %d", uint8(c.Spare))

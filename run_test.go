@@ -1,6 +1,7 @@
 package semicont
 
 import (
+	"strings"
 	"testing"
 
 	"semicont/internal/trace"
@@ -23,18 +24,23 @@ func TestScenarioValidate(t *testing.T) {
 	cases := []struct {
 		name   string
 		mutate func(*Scenario)
+		want   string // substring of the rejection
 	}{
-		{"bad system", func(s *Scenario) { s.System.NumServers = 0 }},
-		{"bad policy", func(s *Scenario) { s.Policy.StagingFrac = -1 }},
-		{"zero horizon", func(s *Scenario) { s.HorizonHours = 0 }},
-		{"negative load", func(s *Scenario) { s.LoadFactor = -1 }},
-		{"bad fail server", func(s *Scenario) { s.FailAtHours = 1; s.FailServer = 99 }},
+		{"bad system", func(s *Scenario) { s.System.NumServers = 0 }, "NumServers"},
+		{"bad policy", func(s *Scenario) { s.Policy.StagingFrac = -1 }, "StagingFrac"},
+		{"zero horizon", func(s *Scenario) { s.HorizonHours = 0 }, "HorizonHours"},
+		{"negative load", func(s *Scenario) { s.LoadFactor = -1 }, "LoadFactor"},
+		{"bad fail server", func(s *Scenario) { s.FailAtHours = 1; s.FailServer = 99 }, "FailServer"},
+		{"deprecated shards", func(s *Scenario) { s.Shards = 2 }, "BENCH_shard.json"},
 	}
 	for _, tc := range cases {
 		sc := quickScenario()
 		tc.mutate(&sc)
-		if err := sc.Validate(); err == nil {
+		err := sc.Validate()
+		if err == nil {
 			t.Errorf("%s: accepted", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not name %q", tc.name, err, tc.want)
 		}
 	}
 }
