@@ -92,7 +92,7 @@ func main() {
 		traceOut  = flag.String("trace", "", "write an event trace CSV to this file (single trial only)")
 		check     = flag.Bool("check", false, "enable per-event invariant checking (slow)")
 		auditOn   = flag.Bool("audit", false, "attach the invariant auditor: every event is checked against the model's conservation laws; a violation aborts the run with a structured error")
-		auditSamp = flag.Int("audit-sample", 0, "with -audit, snapshot-check only every k-th event (0 or 1 = every event); deterministic from the event sequence, keeps audited large runs feasible")
+		auditSamp = flag.Int("audit-sample", 0, "with -audit, snapshot-check only every k-th event (0 or 1 = every event); deterministic from the event sequence; trims the audit's constant-factor cost")
 		statsOn   = flag.Bool("stats", false, "record per-request distributions (wait, retry sojourn, glitch, migrations, degraded park) into O(1)-memory quantile sketches and print p50/p95/p99")
 		parallel  = flag.Int("parallel", 0, "max concurrent simulation jobs for -trials and -experiment (0 = GOMAXPROCS); results are identical at any setting")
 		expt      = flag.String("experiment", "", `run registered experiments: an id, a comma list, or "all" (see -list-experiments); all share one -parallel pool`)

@@ -41,6 +41,14 @@
 //     min-tracking (a missed dirty mark, an unfolded copy key) cannot
 //     hide behind floating-point slack.
 //
+// The per-event checks are incremental: each event's record carries
+// only the servers whose state changed since the previous record (all
+// of them on the first), so an audit costs O(changed servers) per
+// event, not O(cluster). The rules that also read auditor-side state
+// (the fraction, replica, rescue, storage and stream-count mirrors)
+// stay exact on the servers left out; DESIGN.md §9 gives the argument
+// rule by rule.
+//
 // The auditor fails fast: the first violation aborts the run and
 // surfaces as a structured *Violation error naming the event, server,
 // and request involved. Enable it with Scenario.Audit (or the vodsim
@@ -105,9 +113,11 @@ type Auditor struct {
 	// Fault model. down mirrors per-server up/down state exactly — it
 	// is driven by the always-on Failure/Recovery taps, so it stays
 	// correct under snapshot sampling. lastActive holds per-server
-	// active stream counts as of the last *recorded* event; with
-	// sampling it can be stale, so checks that need the
-	// immediately-previous event's state gate on lastEventSeq.
+	// active stream counts (indexed by server ID) as of the last
+	// *recorded* event: a record delivers only changed servers, so an
+	// absent server's count carries over. With sampling it can be
+	// stale, so checks that need the immediately-previous event's state
+	// gate on lastEventSeq.
 	lastActive   []int
 	down         []bool
 	lastEventSeq uint64
@@ -200,6 +210,7 @@ func (a *Auditor) Begin(b core.AuditBegin) error {
 	}
 	a.storageUsed = append([]float64(nil), b.StaticStorage...)
 	a.down = make([]bool, len(b.StaticStorage))
+	a.lastActive = make([]int, len(b.StaticStorage))
 	a.frac = make([]float64, len(b.StaticStorage))
 	for i := range a.frac {
 		a.frac[i] = 1
@@ -230,19 +241,21 @@ func (a *Auditor) BeginEvent(seq uint64, t float64, kind core.AuditEventKind, se
 	return nil
 }
 
-// Event implements core.AuditTap: the per-event conservation checks.
+// Event implements core.AuditTap: the per-event conservation checks,
+// run on the servers the record delivers (those that changed since the
+// previous record). The rules that also read auditor-side state stay
+// exact on the servers left out — DESIGN.md §9 lists why, rule by rule.
 func (a *Auditor) Event(rec core.AuditEventRecord) error {
 	a.events++
-	if a.lastActive == nil {
-		a.lastActive = make([]int, len(rec.Servers))
-	}
 	defer func() {
 		// Remember the post-event state: the next failure event's
 		// dispositions are checked against these counts (valid only
 		// when that event immediately follows this one — see
 		// lastEventSeq).
 		for si := range rec.Servers {
-			a.lastActive[si] = len(rec.Servers[si].Requests)
+			if id := int(rec.Servers[si].ID); id >= 0 && id < len(a.lastActive) {
+				a.lastActive[id] = len(rec.Servers[si].Requests)
+			}
 		}
 		a.lastEventSeq = rec.Seq
 	}()

@@ -2,6 +2,7 @@ package audit
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -181,6 +182,61 @@ func TestEventAllowsExemptStates(t *testing.T) {
 	if err := a.Event(rec); err != nil {
 		t.Fatalf("exempt states flagged: %v", err)
 	}
+}
+
+// TestFailureAccountingPartialRecords pins that per-server stream
+// counts follow server IDs, not record positions: records deliver only
+// the servers an event changed, in any order. Event 1 delivers both
+// servers out of ID order, event 2 only server 1, and event 3 fails
+// server 0 — whose last recorded count (2) comes from event 1.
+func TestFailureAccountingPartialRecords(t *testing.T) {
+	setup := func(t *testing.T) *Auditor {
+		t.Helper()
+		a := testAuditor(t)
+		first := record(
+			server(1, []core.AuditRequestState{okRequest(3, 1)}, nil),
+			server(0, []core.AuditRequestState{okRequest(1, 0), okRequest(2, 1)}, nil),
+		)
+		if err := a.Event(first); err != nil {
+			t.Fatalf("event 1: %v", err)
+		}
+		if err := a.BeginEvent(2, 20, core.AuditWake, 1, 0); err != nil {
+			t.Fatal(err)
+		}
+		idle := server(1, nil, nil)
+		idle.NextWake = math.Inf(1)
+		second := record(idle)
+		second.Seq, second.Time, second.Server = 2, 20, 1
+		if err := a.Event(second); err != nil {
+			t.Fatalf("event 2: %v", err)
+		}
+		if err := a.BeginEvent(3, 30, core.AuditFailure, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	failedOnly := func() core.AuditEventRecord {
+		rec := record(core.AuditServerState{ID: 0, Bandwidth: 30, Slots: 10, Failed: true})
+		rec.Seq, rec.Time, rec.Kind = 3, 30, core.AuditFailure
+		return rec
+	}
+
+	t.Run("balanced", func(t *testing.T) {
+		a := setup(t)
+		if err := a.Failure(30, 0, 1, 1, 0); err != nil {
+			t.Fatalf("2 streams rescued/dropped out of 2 flagged: %v", err)
+		}
+		if err := a.Event(failedOnly()); err != nil {
+			t.Fatalf("record holding only the failed server: %v", err)
+		}
+	})
+	t.Run("unbalanced", func(t *testing.T) {
+		a := setup(t)
+		v := wantRule(t, a.Failure(30, 0, 1, 0, 0), "failure-accounting")
+		if v.Server != 0 || v.Seq != 3 {
+			t.Errorf("violation context: %+v", v)
+		}
+	})
 }
 
 func TestSpareOrderViolations(t *testing.T) {

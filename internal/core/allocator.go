@@ -152,6 +152,7 @@ func (e *Engine) allocator() BandwidthAllocator {
 // reschedule, which keeps the fused next-wake result.
 func (e *Engine) allocate(s *server, t float64) {
 	e.allocator().Allocate(e, s, t)
+	s.auditDirty = true
 }
 
 // reschedule recomputes s's allocation at time t and replaces its
@@ -160,6 +161,7 @@ func (e *Engine) allocate(s *server, t float64) {
 // an event handler, so the wake can be fused with the next pop.
 func (e *Engine) reschedule(s *server, t float64) {
 	next := e.allocator().Allocate(e, s, t)
+	s.auditDirty = true // rates, wake keys, glitch flags
 	s.version++
 	if !math.IsInf(next, 1) {
 		e.holdWake(next, event{kind: evServerWake, server: s.id, version: s.version})

@@ -104,6 +104,7 @@ func (e *Engine) handleBrownout(s *server, frac, t float64) {
 	s.dimFrac = frac
 	s.bandwidth = e.cfg.ServerBandwidth[s.id] * frac
 	s.slots = int(s.bandwidth/e.cfg.ViewRate + timeEps)
+	s.auditDirty = true
 	e.metrics.Brownouts++
 	// Completed streams and copies release their slots before the
 	// over-capacity check (the same pass handleWake runs).
@@ -152,6 +153,7 @@ func (e *Engine) handleBrownoutEnd(s *server, t float64) {
 	s.dimFrac = 0
 	s.bandwidth = e.cfg.ServerBandwidth[s.id]
 	s.slots = e.cfg.Slots(int(s.id))
+	s.auditDirty = true
 	e.metrics.BrownoutRestores++
 	if e.audit != nil {
 		e.auditFail(e.audit.BrownoutEnd(t, s.id))

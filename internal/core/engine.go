@@ -111,16 +111,22 @@ type Engine struct {
 
 	// Audit instrumentation (nil when no auditor is attached): the tap,
 	// the first violation raised, the event sequence counter, and the
-	// reusable snapshot/grant buffers.
+	// reusable snapshot/grant buffers. auditServers holds the entry last
+	// delivered for each server (empty until the first record);
+	// auditOut is the record's dirty subset; auditCheck is the scratch
+	// entry the DebugVerifyAuditDirty hook rebuilds clean servers into.
 	audit            AuditTap
 	auditErr         error
 	auditSeq         uint64
 	auditEvery       uint64
 	auditServers     []AuditServerState
+	auditOut         []AuditServerState
+	auditCheck       AuditServerState
 	spareGrantBuf    []SpareGrant
 	intermitGrantBuf []IntermittentGrant
 	spareMisorder    bool
 	wakeSkew         bool
+	auditVerify      bool
 
 	// Streaming observation channels (see observe.go). Always bound —
 	// stats.Discard by default — so recording never branches.
@@ -272,12 +278,13 @@ func (e *Engine) Reset(cfg Config, cat *catalog.Catalog, lay *placement.Layout, 
 	e.auditErr = nil
 	e.auditSeq = 0
 	e.auditEvery = 0
-	e.auditServers = nil
+	e.auditServers = e.auditServers[:0] // the next record delivers every server
 	e.discardObs()
 	e.spareGrantBuf = e.spareGrantBuf[:0]
 	e.intermitGrantBuf = e.intermitGrantBuf[:0]
 	e.spareMisorder = false
 	e.wakeSkew = false
+	e.auditVerify = false
 	// cand/evenBuf/touchedBuf are reset at each use; freeList is kept —
 	// recycled requests are the cross-trial reuse this enables.
 	return nil
@@ -568,9 +575,13 @@ func (e *Engine) Step() bool {
 		e.checkInvariants()
 	}
 	if e.audit != nil {
-		// The full post-event snapshot is the expensive audit step;
-		// with sampling enabled only every auditEvery-th event builds
-		// one. The decision is keyed to the deterministic event
+		if e.auditVerify && e.auditErr == nil {
+			e.verifyAuditDirty()
+		}
+		// The post-event snapshot carries the servers the event (and,
+		// under sampling, the skipped events since the last record)
+		// changed. With sampling enabled only every auditEvery-th event
+		// builds one. The decision is keyed to the deterministic event
 		// sequence number — never wall time — so sampled audits
 		// reproduce bit-identically at any GOMAXPROCS or worker count.
 		if e.auditErr == nil && (e.auditEvery <= 1 || e.auditSeq%e.auditEvery == 0) {
@@ -746,6 +757,7 @@ func (e *Engine) handleFailure(s *server, t float64) {
 	}
 	s.syncAll(t)
 	s.failed = true
+	s.auditDirty = true
 	e.metrics.Failures++
 	e.abortCopies(s)
 	rescued, dropped, parked := 0, 0, 0

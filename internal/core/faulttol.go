@@ -75,6 +75,7 @@ func (e *Engine) handleRecovery(s *server, t float64, cold bool) {
 		return
 	}
 	s.failed = false
+	s.auditDirty = true
 	s.version++
 	e.metrics.Recoveries++
 	if cold {

@@ -149,6 +149,7 @@ func (e *Engine) startReplication(v int32, t float64) {
 	src.syncAll(t)
 	job := &copyJob{video: v, source: src.id, target: dst.id, size: size, last: t, wakeKey: math.Inf(1)}
 	src.copies = append(src.copies, job)
+	src.auditDirty = true
 	if e.copying == nil {
 		e.copying = make(map[int32]bool)
 	}
@@ -201,6 +202,7 @@ func (e *Engine) finishCopy(s *server, c *copyJob, t float64) {
 		}
 	}
 	s.ln.wakeDirty = true
+	s.auditDirty = true
 	delete(e.copying, c.video)
 	// Install the merged holder list.
 	merged := append([]int32(nil), e.holders(int(c.video))...)
@@ -230,6 +232,7 @@ func (e *Engine) abortCopies(failed *server) {
 	}
 	failed.copies = nil
 	failed.ln.wakeDirty = true
+	failed.auditDirty = true
 	// Jobs targeting the failed server from elsewhere. Removing a job
 	// removes its stored wake key, so each pruned source's wake index
 	// goes dirty (its scheduled wake event stays valid — it just fires
@@ -244,6 +247,7 @@ func (e *Engine) abortCopies(failed *server) {
 				delete(e.copying, c.video)
 				e.metrics.ReplicationsAborted++
 				s.ln.wakeDirty = true
+				s.auditDirty = true
 				continue
 			}
 			kept = append(kept, c)

@@ -29,6 +29,13 @@ type server struct {
 	// the effective values, so allocators, selectors, and invariants
 	// need no brownout awareness.
 	dimFrac float64
+
+	// auditDirty marks a server whose audit snapshot entry may have
+	// changed since the last one delivered. Every write to state the
+	// snapshot reports sets it (one store per call, outside the lane
+	// loops); auditRecord delivers only marked servers and clears the
+	// marks. See DESIGN.md §9 for the contract.
+	auditDirty bool
 }
 
 // hasSlot reports whether the server can admit one more stream under
@@ -50,6 +57,7 @@ func (s *server) attach(r *request) {
 	r.slot = int32(len(s.active))
 	s.active = append(s.active, r)
 	s.ln.attach(r)
+	s.auditDirty = true
 }
 
 // detach removes r from the active set in O(1) by swapping the last
@@ -64,6 +72,7 @@ func (s *server) detach(r *request) {
 	s.active[last] = nil
 	s.active = s.active[:last]
 	r.slot = -1
+	s.auditDirty = true
 }
 
 // syncAll advances every active request's and copy job's fluid state
@@ -79,6 +88,7 @@ func (s *server) syncAll(t float64) {
 // pass over the lane's contiguous arrays, the same arithmetic (and the
 // same size clamp) request.syncTo applies to the carried state.
 func (s *server) syncStreams(t float64) {
+	s.auditDirty = true
 	lastA := s.ln.last
 	// Reslicing to lastA's length lets the compiler drop the per-element
 	// bounds checks on the parallel arrays.
@@ -131,4 +141,7 @@ func (s *server) bufferOf(i int, t, bview float64) float64 {
 // setSuspend sets the attached request r's suspension deadline (a
 // mid-switch blackout, written after attach by migration and park
 // reconnection).
-func (s *server) setSuspend(r *request, until float64) { s.ln.susp[r.slot] = until }
+func (s *server) setSuspend(r *request, until float64) {
+	s.ln.susp[r.slot] = until
+	s.auditDirty = true
+}

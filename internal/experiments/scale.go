@@ -23,10 +23,10 @@ const (
 	scaleServers = 200
 
 	// scaleAuditSample is the snapshot-audit sampling rate for the
-	// family. A full snapshot is linear in cluster size, so auditing
-	// every event of a 200-server, 10^6-event run costs ~10^9 checks;
-	// every 512th keeps audited large runs feasible while the always-on
-	// stateful taps keep the auditor's models exact.
+	// family. A snapshot carries only the servers an event changed, so
+	// an unsampled audit of a 200-server cell costs a few times a bare
+	// run; every 512th event brings audited sweeps near bare speed
+	// while the always-on stateful taps keep the auditor's models exact.
 	scaleAuditSample = 512
 )
 
