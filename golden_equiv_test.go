@@ -211,29 +211,48 @@ func goldenMatrix() []struct {
 	return m
 }
 
-// TestGoldenEquivalence runs the scenario matrix and demands that every
-// Result field matches the checked-in fixture bit-for-bit. JSON float
-// encoding uses the shortest round-trippable representation, so decoded
-// fixtures compare exactly with ==.
-func TestGoldenEquivalence(t *testing.T) {
+// goldenResults runs the scenario matrix and the pinned drm-hops1
+// trials, keyed by fixture name. With audited set, every cell runs
+// audited with the audit dirty-set completeness check on: the check
+// rebuilds each unmarked server's snapshot entry after every event and
+// fails the run if any changed.
+func goldenResults(t *testing.T, audited bool) map[string]Result {
+	t.Helper()
+	if audited {
+		withAuditHook(t, verifyDirty)
+	}
 	matrix := goldenMatrix()
-
 	got := make(map[string]Result, len(matrix)+3)
 	for _, cell := range matrix {
-		res, err := Run(cell.Sc)
+		sc := cell.Sc
+		sc.Audit = sc.Audit || audited
+		res, err := Run(sc)
 		if err != nil {
-			t.Fatalf("%s: %v", cell.Name, err)
+			t.Fatalf("%s (audited=%v): %v", cell.Name, audited, err)
 		}
 		got[cell.Name] = *res
 	}
 	// Multi-trial aggregation derives per-trial seeds; pin each trial.
-	agg, err := RunTrials(goldenMatrix()[5].Sc, 3) // drm-hops1
+	sc := matrix[5].Sc // drm-hops1
+	sc.Audit = audited
+	agg, err := RunTrials(sc, 3)
 	if err != nil {
-		t.Fatalf("trials: %v", err)
+		t.Fatalf("trials (audited=%v): %v", audited, err)
 	}
 	for i, r := range agg.Results {
 		got["drm-hops1-trial"+string(rune('0'+i))] = *r
 	}
+	return got
+}
+
+// TestGoldenEquivalence runs the scenario matrix and demands that every
+// Result field matches the checked-in fixture bit-for-bit. JSON float
+// encoding uses the shortest round-trippable representation, so decoded
+// fixtures compare exactly with ==. The matrix then runs again with
+// every cell audited under the dirty-set completeness check; auditing
+// must not change any result but the audited-event count.
+func TestGoldenEquivalence(t *testing.T) {
+	got := goldenResults(t, false)
 
 	if *updateGolden {
 		names := make([]string, 0, len(got))
@@ -274,5 +293,15 @@ func TestGoldenEquivalence(t *testing.T) {
 		if !seen[n] {
 			t.Errorf("%s: scenario has no fixture (run -update-golden)", n)
 		}
+	}
+
+	audited := goldenResults(t, true)
+	for _, w := range want {
+		g := audited[w.Name]
+		if g.AuditedEvents == 0 {
+			t.Errorf("%s (audited): no event audited", w.Name)
+		}
+		g.AuditedEvents = w.Result.AuditedEvents
+		matchGolden(t, w.Name+" (audited)", g, w.Result)
 	}
 }
