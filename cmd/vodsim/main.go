@@ -55,13 +55,12 @@ func main() {
 		guard     = flag.Float64("resume-guard", 0, "intermittent resume guard, seconds (0 = 30s default)")
 		replicate = flag.Bool("replicate", false, "dynamic replication on rejection")
 		copyRate  = flag.Float64("copy-rate", 0, "replication copy rate cap, Mb/s (0 = 2x view rate)")
-		patchWin  = flag.Float64("patch-window", 0, "multicast patch window, seconds (0 = off)")
 		edgeNodes = flag.Int("edge-nodes", 0, "edge/proxy nodes holding video prefixes in front of the cluster (0 = no edge tier)")
 		prefixSec = flag.Float64("prefix-sec", 0, "edge-cached prefix length per video, seconds of playback (requires -edge-nodes)")
 		edgeCache = flag.Float64("edge-cache-mb", 0, "per-node edge cache byte budget, Mb (requires -edge-nodes)")
 		edgePol   = flag.String("edge-cache-policy", "", "edge prefix-cache policy by registry name (see -list-edge-caches; empty = static-zipf)")
 		listEdge  = flag.Bool("list-edge-caches", false, "list registered edge prefix-cache policies and exit")
-		batchPol  = flag.String("batch-policy", "", `multicast batching policy by registry name (see -list-batch-policies; empty = "patch" with -patch-window, else "unicast")`)
+		batchPol  = flag.String("batch-policy", "", `multicast batching policy by registry name (see -list-batch-policies; empty = "unicast")`)
 		batchWin  = flag.Float64("batch-window", 0, "batching window for -batch-policy, seconds")
 		listBatch = flag.Bool("list-batch-policies", false, "list registered multicast batching policies and exit")
 		pauseProb = flag.Float64("pause-prob", 0, "probability a viewer pauses once")
@@ -90,7 +89,6 @@ func main() {
 		retryBack = flag.Float64("retry-backoff", 0, "seconds between admission retries (0 = 10s default)")
 		degraded  = flag.Bool("degraded", false, "degraded-mode playback: streams parked at a failure drain their buffer and reconnect on recovery")
 		traceOut  = flag.String("trace", "", "write an event trace CSV to this file (single trial only)")
-		check     = flag.Bool("check", false, "enable per-event invariant checking (slow)")
 		auditOn   = flag.Bool("audit", false, "attach the invariant auditor: every event is checked against the model's conservation laws; a violation aborts the run with a structured error")
 		auditSamp = flag.Int("audit-sample", 0, "with -audit, snapshot-check only every k-th event (0 or 1 = every event); deterministic from the event sequence; trims the audit's constant-factor cost")
 		statsOn   = flag.Bool("stats", false, "record per-request distributions (wait, retry sojourn, glitch, migrations, degraded park) into O(1)-memory quantile sketches and print p50/p95/p99")
@@ -208,7 +206,6 @@ func main() {
 			ResumeGuard:     *guard,
 			Replicate:       *replicate,
 			ReplicationRate: *copyRate,
-			PatchWindowSec:  *patchWin,
 			PauseProb:       *pauseProb,
 		}
 		if *pauseProb > 0 {
@@ -327,20 +324,19 @@ func main() {
 	}
 
 	sc := semicont.Scenario{
-		System:          sys,
-		Policy:          pol,
-		Theta:           *theta,
-		HorizonHours:    *hours,
-		LoadFactor:      *load,
-		Seed:            *seed,
-		FailServer:      *failSrv,
-		FailAtHours:     *failAt,
-		Faults:          fcfg,
-		Curve:           curve,
-		CheckInvariants: *check,
-		Audit:           *auditOn,
-		AuditSample:     *auditSamp,
-		Stats:           *statsOn,
+		System:       sys,
+		Policy:       pol,
+		Theta:        *theta,
+		HorizonHours: *hours,
+		LoadFactor:   *load,
+		Seed:         *seed,
+		FailServer:   *failSrv,
+		FailAtHours:  *failAt,
+		Faults:       fcfg,
+		Curve:        curve,
+		Audit:        *auditOn,
+		AuditSample:  *auditSamp,
+		Stats:        *statsOn,
 	}
 
 	if *traceOut != "" {
@@ -590,7 +586,7 @@ func printResult(sc semicont.Scenario, r *semicont.Result) {
 	if sc.Policy.PauseProb > 0 {
 		fmt.Printf("interactivity      %d viewer pauses\n", r.ViewerPauses)
 	}
-	if sc.Policy.PatchWindowSec > 0 || sc.Policy.BatchPolicy == semicont.BatchPolicyPatch {
+	if sc.Policy.BatchPolicy == semicont.BatchPolicyPatch {
 		fmt.Printf("patching           %d joins, %.0f Mb delivered over shared streams\n",
 			r.PatchedJoins, r.SharedMb)
 	}

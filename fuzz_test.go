@@ -115,6 +115,15 @@ func FuzzScenarioValidate(f *testing.F) {
 		0, 0.0, 0.0, 0.0, 0.0, 0.0,
 		0.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0,
 		1, 600.0, 9000.0, "lru", "", 0.0)
+	// Classic patching under DRM on a skewed catalog: the only seed with
+	// a valid patched run (patchWindow feeds the deprecated field, which
+	// Validate now rejects whenever it is nonzero).
+	f.Add(4, 60.0, 20, 300.0, 900.0, 2.0, 3.0,
+		0.2, 0, true, 1, 1, false, false, 0.0, 0.0, 30.0, 120.0, -1.0, 1.0, 0.0, 0, uint64(41),
+		0.0, 0.0, false, false, false, "", "",
+		0, 0.0, 0.0, 0.0, 0.0, 0.0,
+		0.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0,
+		0, 0.0, 0.0, "", "patch", 300.0)
 	f.Fuzz(func(t *testing.T,
 		numServers int, bw float64, numVideos int, minLen, maxLen, avgCopies, viewRate float64,
 		stagingFrac float64, spare int, migration bool, maxHops, maxChain int,
@@ -228,7 +237,7 @@ func FuzzScenarioValidate(f *testing.F) {
 		if numServers > 5 || numVideos > 50 || bw > 150 ||
 			viewRate < 1 || minLen < 60 || maxLen > 1800 ||
 			theta < -2 || theta > 2 || load > 1.5 ||
-			stagingFrac > 1 || patchWindow > 1800 ||
+			stagingFrac > 1 ||
 			maxPause > 3600 || classStagingA > 1 || classStagingB > 1 ||
 			flashFactor > 20 || tShareB > 1e6 ||
 			edgeNodes > 8 || edgePrefixSec > 3600 || batchWindow > 1800 {

@@ -75,8 +75,8 @@ func goldenMatrix() []struct {
 	add("intermittent-guard10", base(Policy{Name: "intermittent-guard10", StagingFrac: 0.3, Intermittent: true, ResumeGuard: 10}))
 
 	// Patching (multicast taps pin streams; spare order interacts).
-	add("patching", base(Policy{Name: "patching", StagingFrac: 0.2, PatchWindowSec: 300}))
-	add("patching-drm", base(drm(Policy{Name: "patching-drm", StagingFrac: 0.2, PatchWindowSec: 600}, 1, 1)))
+	add("patching", base(Policy{Name: "patching", StagingFrac: 0.2, BatchPolicy: BatchPolicyPatch, BatchWindowSec: 300}))
+	add("patching-drm", base(drm(Policy{Name: "patching-drm", StagingFrac: 0.2, BatchPolicy: BatchPolicyPatch, BatchWindowSec: 600}, 1, 1)))
 
 	// Extension mechanisms layered over the allocator.
 	add("interactive", base(drm(Policy{Name: "interactive", StagingFrac: 0.2, PauseProb: 0.3, MinPauseSec: 30, MaxPauseSec: 300}, 1, 1)))

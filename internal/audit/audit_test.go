@@ -13,8 +13,9 @@ import (
 // 30 Mb/s each (10 minimum-flow slots), b_view = 3, staging with a
 // 100 Mb buffer, DRM with MaxHops=1/MaxChain=1, replication with
 // 1000 Mb of storage per server. Video 0 lives on server 0 only; video 1
-// on both. An event context is already established.
-func testAuditor(t *testing.T) *Auditor {
+// on both. An event context is already established. Non-nil mutators
+// adjust the configuration before Begin.
+func testAuditor(t *testing.T, mutate ...func(*core.Config)) *Auditor {
 	t.Helper()
 	a := New()
 	cfg := core.Config{
@@ -26,6 +27,11 @@ func testAuditor(t *testing.T) *Auditor {
 		Migration:       core.MigrationConfig{Enabled: true, MaxHops: 1, MaxChain: 1},
 		Replication:     core.ReplicationConfig{Enabled: true},
 		ServerStorage:   []float64{1000, 1000},
+	}
+	for _, m := range mutate {
+		if m != nil {
+			m(&cfg)
+		}
 	}
 	if err := a.Begin(core.AuditBegin{
 		Config:        cfg,
@@ -97,6 +103,7 @@ func TestEventViolations(t *testing.T) {
 		name string
 		rule string
 		rec  func() core.AuditEventRecord
+		cfg  func(*core.Config) // optional change to the test configuration
 	}{
 		{"over-allocated bandwidth", "bandwidth", func() core.AuditEventRecord {
 			// Two streams at 16+15 Mb/s on a 30 Mb/s server; uncapped
@@ -105,66 +112,71 @@ func TestEventViolations(t *testing.T) {
 			r1.Rate, r1.RecvCap = 16, 0
 			r2.Rate, r2.RecvCap = 15, 0
 			return record(server(0, []core.AuditRequestState{r1, r2}, nil))
-		}},
+		}, nil},
 		{"below minimum flow", "min-flow", func() core.AuditEventRecord {
 			r := okRequest(1, 0)
 			r.Rate = 2 // < b_view = 3
 			return record(server(0, []core.AuditRequestState{r}, nil))
-		}},
+		}, nil},
 		{"receive cap exceeded", "receive-cap", func() core.AuditEventRecord {
 			r := okRequest(1, 0)
 			r.Rate = 31 // > RecvCap = 30
 			return record(server(0, []core.AuditRequestState{r}, nil))
-		}},
+		}, nil},
+		{"workahead while disabled", "workahead-off", func() core.AuditEventRecord {
+			r := okRequest(1, 0)
+			r.Rate = 4 // > b_view = 3 with staging off
+			return record(server(0, []core.AuditRequestState{r}, nil))
+		}, func(c *core.Config) { c.Workahead = false }},
 		{"buffer underrun", "buffer-underrun", func() core.AuditEventRecord {
 			r := okRequest(1, 0)
 			r.Buffer = -1
 			return record(server(0, []core.AuditRequestState{r}, nil))
-		}},
+		}, nil},
 		{"buffer overflow", "buffer-overflow", func() core.AuditEventRecord {
 			r := okRequest(1, 0)
 			r.Buffer = 200 // > BufCap = 100
 			return record(server(0, []core.AuditRequestState{r}, nil))
-		}},
+		}, nil},
 		{"transmission overrun", "overrun", func() core.AuditEventRecord {
 			r := okRequest(1, 0)
 			r.Sent = 101 // > Size = 100
 			return record(server(0, []core.AuditRequestState{r}, nil))
-		}},
+		}, nil},
 		{"slots oversubscribed", "slots", func() core.AuditEventRecord {
 			reqs := make([]core.AuditRequestState, 11) // > 10 slots
 			for i := range reqs {
 				reqs[i] = okRequest(int64(i+1), 0)
 			}
 			return record(server(0, reqs, nil))
-		}},
+		}, nil},
 		{"failed server still active", "failed-active", func() core.AuditEventRecord {
 			s := server(0, []core.AuditRequestState{okRequest(1, 0)}, nil)
 			s.Failed = true
 			return record(s)
-		}},
+		}, nil},
 		{"served by non-holder", "replica", func() core.AuditEventRecord {
 			// Video 0 lives on server 0 only.
 			return record(server(1, []core.AuditRequestState{okRequest(1, 0)}, nil))
-		}},
+		}, nil},
 		{"hop budget exceeded", "hops", func() core.AuditEventRecord {
 			r := okRequest(1, 0)
 			r.Hops = 2 // MaxHops = 1
 			return record(server(0, []core.AuditRequestState{r}, nil))
-		}},
+		}, nil},
 		{"copy rate exceeded", "copy-rate", func() core.AuditEventRecord {
 			// Default cap = 2 × b_view = 6 Mb/s.
 			c := core.AuditCopyState{Video: 0, Target: 1, Rate: 7, Sent: 1, Size: 100}
 			return record(server(0, nil, []core.AuditCopyState{c}))
-		}},
+		}, nil},
 		{"copy overrun", "overrun", func() core.AuditEventRecord {
 			c := core.AuditCopyState{Video: 0, Target: 1, Rate: 6, Sent: 101, Size: 100}
 			return record(server(0, nil, []core.AuditCopyState{c}))
-		}},
+		}, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			a := testAuditor(t)
+			a := testAuditor(t, tc.cfg)
 			wantRule(t, a.Event(tc.rec()), tc.rule)
 		})
 	}

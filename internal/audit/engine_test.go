@@ -162,7 +162,7 @@ func randomScenario(seed uint64) semicont.Scenario {
 	switch (seed >> 4) % 3 {
 	case 1:
 		if pol.StagingFrac > 0 && !pol.Intermittent {
-			pol.PatchWindowSec = 300
+			pol.BatchPolicy, pol.BatchWindowSec = semicont.BatchPolicyPatch, 300
 		}
 	case 2:
 		if !pol.Intermittent {
@@ -180,7 +180,7 @@ func randomScenario(seed uint64) semicont.Scenario {
 		Seed:         seed,
 		Audit:        true,
 	}
-	if (seed>>6)&1 != 0 && pol.PatchWindowSec == 0 {
+	if (seed>>6)&1 != 0 && pol.BatchPolicy == "" {
 		sc.FailAtHours = 0.5
 		sc.FailServer = int(seed) % sys.NumServers
 	}

@@ -123,6 +123,43 @@ func TestAuditDirtyCheckCatchesDroppedMark(t *testing.T) {
 	}
 }
 
+// TestLaneCheckTapCatchesCorruption is the sabotage test of the lane
+// checks the test auditor runs: each kind of lane corruption, made
+// between steps on a loaded server, must fail the run with its message.
+func TestLaneCheckTapCatchesCorruption(t *testing.T) {
+	sabotage := map[string]func(s *server){
+		"":                        func(*server) {},
+		"lane size":               func(s *server) { s.ln.size[0]++ },
+		"slot index corrupt":      func(s *server) { s.active[0].slot = 1 },
+		"lane arrays out of step": func(s *server) { s.ln.wake = append(s.ln.wake, 0) },
+	}
+	for want, corrupt := range sabotage {
+		e, _ := buildKitchenSink(t, 3)
+		e.SetAuditTap(&laneCheckTap{AuditTap: nopTap{}, e: e})
+		if err := e.Start(1800); err != nil {
+			t.Fatal(err)
+		}
+		done := false
+		for e.Step() {
+			for _, s := range e.servers {
+				if !done && len(s.active) > 1 {
+					corrupt(s)
+					done = true
+				}
+			}
+		}
+		err := e.AuditErr()
+		switch {
+		case !done:
+			t.Fatal("no loaded server to corrupt")
+		case want == "" && err != nil:
+			t.Fatalf("honest run flagged: %v", err)
+		case want != "" && (err == nil || !strings.Contains(err.Error(), want)):
+			t.Errorf("%s: corruption not caught: %v", want, err)
+		}
+	}
+}
+
 // TestSameAuditStateCoversEveryField changes each leaf field of a
 // snapshot entry in turn, found by reflection, and demands that the
 // completeness check's comparator sees it: a field the comparator

@@ -352,8 +352,8 @@ func (e *Engine) auditRecord(kind AuditEventKind, server int32, req int64) Audit
 }
 
 // fillAuditState overwrites st with server s's current state. Fluid
-// quantities are reported as of each request's own sync time, mirroring
-// what checkInvariants reads.
+// quantities are reported as of each request's own sync time, as the
+// lanes hold them, without advancing any stream.
 func (e *Engine) fillAuditState(s *server, st *AuditServerState) {
 	bview := e.cfg.ViewRate
 	st.ID = s.id

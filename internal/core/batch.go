@@ -1,14 +1,14 @@
 package core
 
 // Stream batching: the policy seam for how concurrent requests to the
-// same title share cluster streams. The legacy multicast-patching
-// mechanism (patching.go) becomes the "patch" policy behind this
-// registry; "unicast" shares nothing; "batch-prefix" is the edge-tier
-// variant where a joiner whose prefix is cached at the edge taps an
-// ongoing *suffix* stream and the edge relays the small catch-up gap —
-// so a burst of hits on a hot title costs the cluster one suffix
-// stream ("A Strategy to enable Prefix of Multicast VoD through
-// dynamic buffer allocation", PAPERS.md).
+// same title share cluster streams. Multicast patching (patching.go)
+// is the "patch" policy behind this registry; "unicast" shares
+// nothing; "batch-prefix" is the edge-tier variant where a joiner
+// whose prefix is cached at the edge taps an ongoing *suffix* stream
+// and the edge relays the small catch-up gap — so a burst of hits on a
+// hot title costs the cluster one suffix stream ("A Strategy to enable
+// Prefix of Multicast VoD through dynamic buffer allocation",
+// PAPERS.md).
 //
 // The registry mirrors RegisterAllocator/RegisterSelector exactly:
 // registration is an init-time programming act that panics on empty or
@@ -41,13 +41,11 @@ type BatchPolicy interface {
 // Registry names of the built-in batch policies.
 const (
 	// BatchUnicast shares nothing: every admitted request gets its own
-	// cluster stream. The default (matching the engine's historical
-	// behaviour when Patching is disabled).
+	// cluster stream. The default.
 	BatchUnicast = "unicast"
-	// BatchPatch is the legacy multicast-patching mechanism: a joiner
-	// taps a whole-object primary and receives the missed prefix as a
-	// short unicast patch (see patching.go). Configuring
-	// Patching.Enabled resolves to this policy.
+	// BatchPatch is classic multicast patching: a joiner taps a
+	// whole-object primary and receives the missed prefix as a short
+	// unicast patch (see patching.go), within Edge.BatchWindow.
 	BatchPatch = "patch"
 	// BatchBatchPrefix batches at the edge: a joiner holding an edge
 	// prefix hit taps an ongoing cluster suffix stream for the same
@@ -94,14 +92,10 @@ func BatchPolicyNames() []string {
 }
 
 // BatchPolicyName returns the effective batch-policy registry name for
-// this configuration: Edge.Batch when set, otherwise BatchPatch when
-// legacy Patching is enabled and BatchUnicast when not.
+// this configuration: Edge.Batch when set, BatchUnicast otherwise.
 func (c Config) BatchPolicyName() string {
 	if c.Edge.Batch != "" {
 		return c.Edge.Batch
-	}
-	if c.Patching.Enabled {
-		return BatchPatch
 	}
 	return BatchUnicast
 }
@@ -136,8 +130,8 @@ func (unicastBatch) TryJoin(*Engine, int, float64, float64, float64, int32, floa
 	return false
 }
 
-// patchBatch implements BatchPatch by delegating to the legacy
-// patching mechanism, which does its own join bookkeeping.
+// patchBatch implements BatchPatch by delegating to the patching
+// mechanism, which does its own join bookkeeping.
 type patchBatch struct{}
 
 func (patchBatch) Name() string { return BatchPatch }

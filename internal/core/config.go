@@ -264,10 +264,6 @@ type Config struct {
 	// Replication configures dynamic replica creation on rejection.
 	Replication ReplicationConfig
 
-	// Patching configures multicast stream-sharing with unicast
-	// prefix patches (related-work technique; Section 6 future work).
-	Patching PatchingConfig
-
 	// Edge configures the proxy tier in front of the cluster: edge
 	// nodes with bounded prefix caches serve the head of hot titles
 	// locally, and a batching policy lets concurrent edge hits share
@@ -313,10 +309,6 @@ type Config struct {
 	// before a paused stream is considered urgent again (default 30 s).
 	// Smaller guards admit more aggressively but glitch more.
 	ResumeGuard float64
-
-	// CheckInvariants enables expensive model-invariant assertions after
-	// every event (tests use this; experiment runs leave it off).
-	CheckInvariants bool
 }
 
 // RetryConfig controls the admission retry queue: rejected requests
@@ -516,23 +508,8 @@ func (c Config) Validate() error {
 	if err := c.Interactivity.Validate(); err != nil {
 		return err
 	}
-	if err := c.Patching.Validate(); err != nil {
-		return err
-	}
-	if c.Patching.Enabled && c.Intermittent {
-		return fmt.Errorf("core: patching is incompatible with intermittent scheduling (a paused primary starves its taps)")
-	}
-	if c.Patching.Enabled && c.Interactivity.PauseProb > 0 {
-		return fmt.Errorf("core: patching is incompatible with viewer interactivity (a paused primary starves its taps)")
-	}
 	if err := c.Edge.Validate(); err != nil {
 		return err
-	}
-	if c.Edge.Nodes > 0 && c.Patching.Enabled {
-		return fmt.Errorf("core: the edge tier and legacy patching are mutually exclusive (express patching as Edge.Batch=%q)", BatchPatch)
-	}
-	if c.Edge.Batch != "" && c.Patching.Enabled {
-		return fmt.Errorf("core: Edge.Batch %q configured alongside legacy Patching (pick one)", c.Edge.Batch)
 	}
 	if batch := c.BatchPolicyName(); batch != BatchUnicast {
 		if c.Intermittent {

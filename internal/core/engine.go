@@ -571,9 +571,6 @@ func (e *Engine) Step() bool {
 	case evBrownoutEnd:
 		e.handleBrownoutEnd(e.servers[ev.server], e.now)
 	}
-	if e.cfg.CheckInvariants {
-		e.checkInvariants()
-	}
 	if e.audit != nil {
 		if e.auditVerify && e.auditErr == nil {
 			e.verifyAuditDirty()
@@ -817,77 +814,6 @@ func (e *Engine) recycle(r *request) {
 		delete(e.byID, r.id)
 	}
 	e.freeList = append(e.freeList, r)
-}
-
-// checkInvariants asserts the fluid-model and admission invariants on
-// every server. It panics with a diagnostic on violation; tests run
-// with Config.CheckInvariants to exercise it.
-func (e *Engine) checkInvariants() {
-	bview := e.cfg.ViewRate
-	for _, s := range e.servers {
-		if s.failed {
-			if len(s.active) != 0 {
-				panic(fmt.Sprintf("core: failed server %d still has %d streams", s.id, len(s.active)))
-			}
-			continue
-		}
-		// Minimum-flow admission caps concurrent streams at the slot
-		// count; intermittent admission deliberately over-subscribes
-		// (paused streams play from their buffers).
-		if !e.cfg.Intermittent && len(s.active) > s.slots {
-			panic(fmt.Sprintf("core: server %d holds %d streams, capacity %d", s.id, len(s.active), s.slots))
-		}
-		if n := len(s.active); len(s.ln.rate) != n || len(s.ln.sent) != n ||
-			len(s.ln.last) != n || len(s.ln.susp) != n ||
-			len(s.ln.size) != n || len(s.ln.wake) != n {
-			panic(fmt.Sprintf("core: server %d lane arrays out of step with %d active streams", s.id, n))
-		}
-		total := 0.0
-		for i, r := range s.active {
-			if int(r.slot) != i {
-				panic(fmt.Sprintf("core: server %d slot index corrupt for request %d", s.id, r.id))
-			}
-			rate, sent, last := s.ln.rate[i], s.ln.sent[i], s.ln.last[i]
-			total += rate
-			if sent > r.size+dataEps {
-				panic(fmt.Sprintf("core: request %d sent %g > size %g", r.id, sent, r.size))
-			}
-			if s.ln.size[i] != r.size {
-				panic(fmt.Sprintf("core: request %d lane size %g != %g", r.id, s.ln.size[i], r.size))
-			}
-			if !e.cfg.Intermittent && !s.suspendedAt(i, last) && !s.finishedAt(i) && !r.pausedView && rate < bview-dataEps {
-				panic(fmt.Sprintf("core: request %d rate %g below minimum flow %g", r.id, rate, bview))
-			}
-			if e.cfg.Workahead && r.recvCap > 0 && rate > r.recvCap+dataEps {
-				panic(fmt.Sprintf("core: request %d rate %g exceeds receive cap %g", r.id, rate, r.recvCap))
-			}
-			if !e.cfg.Workahead && !s.suspendedAt(i, last) && rate > bview+dataEps {
-				panic(fmt.Sprintf("core: request %d rate %g with workahead disabled", r.id, rate))
-			}
-			buf := sent - r.viewedAt(last, bview)
-			// Underruns are impossible under minimum-flow scheduling;
-			// the intermittent heuristic risks them by design and
-			// accounts for them as glitches instead.
-			if buf < -dataEps && !e.cfg.Intermittent {
-				panic(fmt.Sprintf("core: request %d buffer underrun %g at t=%g", r.id, buf, last))
-			}
-			if buf > r.bufCap+bview*timeEps+dataEps {
-				panic(fmt.Sprintf("core: request %d buffer %g exceeds capacity %g", r.id, buf, r.bufCap))
-			}
-		}
-		for _, c := range s.copies {
-			total += c.rate
-			if c.sent > c.size+dataEps {
-				panic(fmt.Sprintf("core: copy of video %d sent %g > size %g", c.video, c.sent, c.size))
-			}
-			if c.rate > e.copyRateCap()+dataEps {
-				panic(fmt.Sprintf("core: copy of video %d rate %g exceeds cap %g", c.video, c.rate, e.copyRateCap()))
-			}
-		}
-		if total > s.bandwidth+dataEps {
-			panic(fmt.Sprintf("core: server %d allocated %g of %g Mb/s", s.id, total, s.bandwidth))
-		}
-	}
 }
 
 // --- introspection for tests and tracing ---

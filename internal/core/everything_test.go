@@ -11,14 +11,15 @@ import (
 )
 
 // buildKitchenSink assembles an engine with an arbitrary combination of
-// every feature the engine supports, driven by a seed. Invariant
-// checking is always on; this is the engine's fuzz harness.
+// every feature the engine supports, driven by a seed. The test auditor
+// is attached; this is the engine's fuzz harness.
 func buildKitchenSink(t testing.TB, seed uint64) (*Engine, Config) {
 	cfg, cat, lay, mkSrc := kitchenSinkParts(t, seed)
 	e, err := NewEngine(cfg, cat, lay, mkSrc())
 	if err != nil {
 		t.Fatal(err)
 	}
+	attachTestAuditor(t, e)
 	return e, cfg
 }
 
@@ -58,7 +59,6 @@ func kitchenSinkParts(t testing.TB, seed uint64) (Config, *catalog.Catalog, *pla
 		ServerBandwidth: bws,
 		ServerStorage:   caps,
 		ViewRate:        3,
-		CheckInvariants: true,
 	}
 	if p.Float64() < 0.7 {
 		cfg.Workahead = true
@@ -122,23 +122,42 @@ func kitchenSinkParts(t testing.TB, seed uint64) (Config, *catalog.Catalog, *pla
 }
 
 // TestKitchenSinkFuzz runs randomized simulations with every feature
-// combination under full invariant checking and verifies the global
-// accounting identities that must hold regardless of configuration.
+// combination under the auditor and verifies the global accounting
+// identities that must hold regardless of configuration. Every seed
+// also runs bare, with no tap, and must produce identical metrics: a
+// tap switches spare and intermittent feeding to their audited paths,
+// so the bare run pins the production ones (the lazy spare heap and
+// the unaudited intermittent feed) to the audited behavior.
 func TestKitchenSinkFuzz(t *testing.T) {
 	prop := func(seedRaw uint16, failServer uint8) bool {
 		seed := uint64(seedRaw) + 1
-		e, cfg := buildKitchenSink(t, seed)
+		cfg, cat, lay, mkSrc := kitchenSinkParts(t, seed)
 		// Half the runs also kill a server mid-way.
 		withFailure := seedRaw%2 == 0
-		if withFailure {
-			if err := e.ScheduleFailure(1800, int(failServer)%len(cfg.ServerBandwidth)); err != nil {
+		var runs [2]*Metrics
+		for i, audited := range []bool{false, true} {
+			e, err := NewEngine(cfg, cat, lay, mkSrc())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if audited {
+				attachTestAuditor(t, e)
+			}
+			if withFailure {
+				if err := e.ScheduleFailure(1800, int(failServer)%len(cfg.ServerBandwidth)); err != nil {
+					return false
+				}
+			}
+			if runs[i], err = e.Run(3600); err != nil {
+				t.Logf("seed %d, audited=%v: %v", seed, audited, err)
 				return false
 			}
 		}
-		m, err := e.Run(3600)
-		if err != nil {
+		if *runs[0] != *runs[1] {
+			t.Logf("seed %d: bare and audited metrics diverge\nbare:    %+v\naudited: %+v", seed, *runs[0], *runs[1])
 			return false
 		}
+		m := runs[1]
 		if m.Arrivals != m.Accepted+m.Rejected {
 			return false
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -49,16 +50,68 @@ func manualLayout(t *testing.T, cat *catalog.Catalog, holders [][]int, numServer
 }
 
 // newTestEngine builds an engine over fixed-length videos with an
-// explicit layout and scripted arrivals. CheckInvariants is always on.
+// explicit layout and scripted arrivals. The test auditor is attached.
 func newTestEngine(t *testing.T, cfg Config, cat *catalog.Catalog, holders [][]int, reqs []workload.Request) *Engine {
 	t.Helper()
-	cfg.CheckInvariants = true
 	lay := manualLayout(t, cat, holders, len(cfg.ServerBandwidth))
 	e, err := NewEngine(cfg, cat, lay, &scriptSource{reqs: reqs})
 	if err != nil {
 		t.Fatal(err)
 	}
+	attachTestAuditor(t, e)
 	return e
+}
+
+// NewTestAuditor returns the invariant auditor that this package's
+// test engines run under. internal/audit imports this package, so
+// the external test package sets it (audit_hook_test.go).
+var NewTestAuditor func() AuditTap
+
+// attachTestAuditor attaches the test auditor, wrapped in the lane
+// checks, to e. At cleanup the test fails on any audit violation the
+// run recorded, unless the test replaced the tap.
+func attachTestAuditor(t testing.TB, e *Engine) {
+	tap := &laneCheckTap{AuditTap: NewTestAuditor(), e: e}
+	e.SetAuditTap(tap)
+	t.Cleanup(func() {
+		if e.audit != AuditTap(tap) {
+			return
+		}
+		if err := e.AuditErr(); err != nil {
+			t.Errorf("audit: %v", err)
+		}
+	})
+}
+
+// laneCheckTap runs the lane-structure assertions no audit rule covers
+// after every event, then hands the record to the auditor: each lane
+// slice holds one entry per active stream, each request's slot is its
+// index, and the lane's size mirror equals the request's size.
+type laneCheckTap struct {
+	AuditTap
+	e *Engine
+}
+
+func (l *laneCheckTap) Event(rec AuditEventRecord) error {
+	for _, s := range l.e.servers {
+		if s.failed {
+			continue
+		}
+		if n := len(s.active); len(s.ln.rate) != n || len(s.ln.sent) != n ||
+			len(s.ln.last) != n || len(s.ln.susp) != n ||
+			len(s.ln.size) != n || len(s.ln.wake) != n {
+			return fmt.Errorf("core: server %d lane arrays out of step with %d active streams", s.id, n)
+		}
+		for i, r := range s.active {
+			if int(r.slot) != i {
+				return fmt.Errorf("core: server %d slot index corrupt for request %d", s.id, r.id)
+			}
+			if s.ln.size[i] != r.size {
+				return fmt.Errorf("core: request %d lane size %g != %g", r.id, s.ln.size[i], r.size)
+			}
+		}
+	}
+	return l.AuditTap.Event(rec)
 }
 
 // run drives the engine to completion with the given horizon and

@@ -1,7 +1,5 @@
 package core
 
-import "fmt"
-
 // Patching (Gao & Towsley; Sen et al. — cited by the paper's related
 // work, and "patching … stream merging" is listed as future work in
 // Section 6). A client arriving shortly after another request for the
@@ -30,32 +28,10 @@ import "fmt"
 // exclusive with viewer interactivity and intermittent scheduling
 // (both can stall a primary mid-stream, which would starve its taps).
 
-// PatchingConfig controls multicast patching.
-type PatchingConfig struct {
-	// Enabled turns patching on.
-	Enabled bool
-
-	// Window bounds the prefix a joiner may catch up on, in seconds of
-	// playback (0 means 20 minutes). Joins are also bounded by the
-	// joining client's buffer capacity.
-	Window float64
-}
-
-// Validate reports configuration errors.
-func (p PatchingConfig) Validate() error {
-	if p.Window < 0 {
-		return fmt.Errorf("core: negative patch window %g", p.Window)
-	}
-	return nil
-}
-
-// patchWindow returns the configured window with its default. The
-// legacy Patching.Window takes precedence; runs selecting the policy
-// through Edge.Batch="patch" configure the window as Edge.BatchWindow.
+// patchWindow returns the configured window, Edge.BatchWindow, in
+// seconds of playback; zero means 20 minutes. Joins are also bounded
+// by the joining client's buffer capacity.
 func (e *Engine) patchWindow() float64 {
-	if w := e.cfg.Patching.Window; w > 0 {
-		return w
-	}
 	if w := e.cfg.Edge.BatchWindow; w > 0 {
 		return w
 	}
@@ -65,8 +41,7 @@ func (e *Engine) patchWindow() float64 {
 // tryPatchJoin attempts to admit the arrival for video v by tapping an
 // ongoing transmission. bufCap is the joining client's staging buffer.
 // On success it returns the created patch request's server. Callers
-// gate on policy: this runs only when the resolved batch policy is
-// "patch" (legacy Patching.Enabled or Edge.Batch="patch").
+// gate on policy: this runs only when Edge.Batch is "patch".
 func (e *Engine) tryPatchJoin(v int, t float64, bufCap, recvCap float64) (*server, bool) {
 	maxPrefix := e.patchWindow() * e.cfg.ViewRate
 	if bufCap < maxPrefix {

@@ -148,12 +148,11 @@ type Policy struct {
 	// run is a validation error.
 	Planner string
 
-	// PatchWindowSec enables multicast patching when positive: a new
-	// request for a video already streaming taps that transmission and
-	// receives only the missed prefix as a short unicast patch, if the
-	// prefix fits both this window (seconds of playback) and the
-	// client's staging buffer. Incompatible with Intermittent and
-	// PauseProb.
+	// PatchWindowSec is kept only so that code which still names the
+	// field compiles. It was a second spelling of multicast patching.
+	//
+	// Deprecated: set BatchPolicy to "patch" and the window in
+	// BatchWindowSec; Validate rejects any nonzero value.
 	PatchWindowSec float64
 
 	// EdgeNodes, when positive, puts an edge/proxy tier of that many
@@ -164,8 +163,7 @@ type Policy struct {
 	// covers the whole video). Arrivals probe nodes round-robin.
 	// EdgeNodes > 0 requires EdgePrefixSec > 0 and EdgeCacheMb > 0;
 	// setting any of the other edge fields while EdgeNodes is zero is a
-	// validation error, not a silent no-op. Incompatible with
-	// PatchWindowSec (express patching as BatchPolicy instead).
+	// validation error, not a silent no-op.
 	EdgeNodes     int
 	EdgePrefixSec float64
 	EdgeCacheMb   float64
@@ -177,13 +175,15 @@ type Policy struct {
 
 	// BatchPolicy names the multicast batching policy by registry name
 	// (see BatchPolicyNames): how concurrent requests for one title
-	// share a cluster stream. Empty resolves to "patch" when
-	// PatchWindowSec is set (the legacy spelling) and "unicast"
-	// otherwise. "patch" is classic multicast patching with
-	// BatchWindowSec as its window; "batch-prefix" joins an ongoing
-	// suffix stream while the edge prefix absorbs the catch-up, and
-	// requires EdgeNodes > 0 and BatchWindowSec > 0. Non-unicast
-	// policies are incompatible with Intermittent and PauseProb.
+	// share a cluster stream. Empty means "unicast". "patch" is classic
+	// multicast patching: a new request for a video already streaming
+	// taps that transmission and receives only the missed prefix as a
+	// short unicast patch, if the prefix fits both BatchWindowSec and
+	// the client's staging buffer; it cannot run behind the edge tier.
+	// "batch-prefix" joins an ongoing suffix stream while the edge
+	// prefix absorbs the catch-up, and requires EdgeNodes > 0 and
+	// BatchWindowSec > 0. Non-unicast policies are incompatible with
+	// Intermittent and PauseProb.
 	BatchPolicy string
 
 	// BatchWindowSec is the batching window in seconds of playback for
@@ -485,10 +485,8 @@ func (p Policy) Validate() error {
 		return fmt.Errorf("semicont: negative ReplicationRate %g", p.ReplicationRate)
 	case p.Spare < EFTFSpare || p.Spare > EvenSplitSpare:
 		return fmt.Errorf("semicont: unknown spare discipline %d", int(p.Spare))
-	case !finite(p.PatchWindowSec) || p.PatchWindowSec < 0:
-		return fmt.Errorf("semicont: negative PatchWindowSec %g", p.PatchWindowSec)
-	case p.PatchWindowSec > 0 && intermittent:
-		return fmt.Errorf("semicont: patching is incompatible with intermittent scheduling")
+	case p.PatchWindowSec != 0:
+		return fmt.Errorf("semicont: PatchWindowSec was removed; set BatchPolicy=%q with the window in BatchWindowSec", BatchPolicyPatch)
 	case p.RetryMaxQueue < 0:
 		return fmt.Errorf("semicont: negative RetryMaxQueue %d", p.RetryMaxQueue)
 	case !finite(p.RetryPatienceSec) || p.RetryPatienceSec < 0:
@@ -499,8 +497,6 @@ func (p Policy) Validate() error {
 		return fmt.Errorf("semicont: negative DegradedRetrySec %g", p.DegradedRetrySec)
 	case !finite(p.PauseProb) || p.PauseProb < 0 || p.PauseProb > 1:
 		return fmt.Errorf("semicont: PauseProb %g outside [0,1]", p.PauseProb)
-	case p.PatchWindowSec > 0 && p.PauseProb > 0:
-		return fmt.Errorf("semicont: patching is incompatible with viewer interactivity")
 	case p.PauseProb > 0 && (!finite(p.MinPauseSec) || !finite(p.MaxPauseSec) ||
 		p.MinPauseSec <= 0 || p.MaxPauseSec < p.MinPauseSec):
 		return fmt.Errorf("semicont: invalid pause range [%g, %g]", p.MinPauseSec, p.MaxPauseSec)
@@ -517,12 +513,8 @@ func (p Policy) Validate() error {
 			p.EdgePrefixSec, p.EdgeCacheMb, p.EdgeCachePolicy)
 	case p.EdgeCachePolicy != "" && !edge.Has(p.EdgeCachePolicy):
 		return fmt.Errorf("semicont: unknown edge cache policy %q (have %v)", p.EdgeCachePolicy, EdgeCachePolicyNames())
-	case p.EdgeNodes > 0 && p.PatchWindowSec > 0:
-		return fmt.Errorf("semicont: PatchWindowSec and EdgeNodes are mutually exclusive (express patching as BatchPolicy=%q)", BatchPolicyPatch)
 	case p.BatchPolicy != "" && !core.HasBatchPolicy(p.BatchPolicy):
 		return fmt.Errorf("semicont: unknown batch policy %q (have %v)", p.BatchPolicy, BatchPolicyNames())
-	case p.BatchPolicy != "" && p.PatchWindowSec > 0:
-		return fmt.Errorf("semicont: PatchWindowSec and BatchPolicy are both set (use BatchPolicy=%q with BatchWindowSec)", BatchPolicyPatch)
 	case !finite(p.BatchWindowSec) || p.BatchWindowSec < 0:
 		return fmt.Errorf("semicont: negative BatchWindowSec %g", p.BatchWindowSec)
 	case p.BatchPolicy == BatchPolicyPatch && p.EdgeNodes > 0:

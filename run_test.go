@@ -32,6 +32,8 @@ func TestScenarioValidate(t *testing.T) {
 		{"negative load", func(s *Scenario) { s.LoadFactor = -1 }, "LoadFactor"},
 		{"bad fail server", func(s *Scenario) { s.FailAtHours = 1; s.FailServer = 99 }, "FailServer"},
 		{"deprecated shards", func(s *Scenario) { s.Shards = 2 }, "BENCH_shard.json"},
+		{"deprecated check invariants", func(s *Scenario) { s.CheckInvariants = true }, "Audit"},
+		{"deprecated patch window", func(s *Scenario) { s.Policy.PatchWindowSec = 300 }, "BatchPolicy"},
 	}
 	for _, tc := range cases {
 		sc := quickScenario()
@@ -47,7 +49,7 @@ func TestScenarioValidate(t *testing.T) {
 
 func TestRunBasics(t *testing.T) {
 	sc := quickScenario()
-	sc.CheckInvariants = true
+	sc.Audit = true
 	res, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +274,7 @@ func TestRunIntermittentPolicy(t *testing.T) {
 		Name: "intermittent", Placement: EvenPlacement,
 		StagingFrac: 0.2, Intermittent: true,
 	}
-	sc.CheckInvariants = true
+	sc.Audit = true
 	res, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -327,7 +329,7 @@ func TestRunClientMixPolicy(t *testing.T) {
 			{Weight: 1, StagingFrac: 0, ReceiveCap: 30},
 		},
 	}
-	sc.CheckInvariants = true
+	sc.Audit = true
 	res, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -376,7 +378,7 @@ func TestRunInteractivePolicy(t *testing.T) {
 	sc.Policy.PauseProb = 0.5
 	sc.Policy.MinPauseSec = 60
 	sc.Policy.MaxPauseSec = 300
-	sc.CheckInvariants = true
+	sc.Audit = true
 	res, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -459,9 +461,9 @@ func TestRunPatchingPolicy(t *testing.T) {
 	sc.Theta = -1 // hot titles overlap constantly
 	sc.Policy = Policy{
 		Name: "patch", Placement: EvenPlacement,
-		StagingFrac: 0.2, PatchWindowSec: 600,
+		StagingFrac: 0.2, BatchPolicy: BatchPolicyPatch, BatchWindowSec: 600,
 	}
-	sc.CheckInvariants = true
+	sc.Audit = true
 	res, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
