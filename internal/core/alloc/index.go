@@ -5,24 +5,26 @@
 // The engine's allocation policies (EFTF, LFTF, intermittent) feed
 // bandwidth to candidates in a deterministic total order keyed by a
 // float64 quantity (remaining volume, buffer level) with the request id
-// breaking ties. Under production load only a short prefix of that
-// order is ever fed — the spare bandwidth runs out long before the
-// candidate list does — so materializing the full sort on every event
-// is wasted work. Index instead heapifies the candidates in O(k) and
-// pops them lazily in exactly the order a full sort would produce:
-// feeding m of k candidates costs O(k + m log k) instead of O(k log k),
-// and the un-popped remainder stays available (unordered) for
+// breaking ties. Often only a short prefix of that order is fed — the
+// spare bandwidth runs out long before the candidate list does — so
+// materializing the full sort on every event is wasted work. Index
+// yields the candidates lazily in exactly the order a full sort would
+// produce, two ways: Init heapifies them in O(k) and Pop takes the next
+// in O(log k), for feeds that take most candidates; Next takes the
+// first few from one linear scan (no heap to build) and heapifies only
+// if the prefix runs long, for feeds that usually take one or two.
+// Either way the un-popped remainder stays available (unordered) for
 // order-independent passes.
 //
 // Entries carry a position into the server's active slice instead of a
 // pointer, so a retained scratch Index never pins finished requests
 // against the garbage collector.
 //
-// Determinism contract: Pop yields entries in exactly ascending
+// Determinism contract: Pop and Next yield entries in exactly ascending
 // (Key, ID) order — or descending Key with ascending ID ties when the
 // index was Reset(true) — which is the same total order Sort produces.
-// The engine relies on this to keep heap-selection runs bit-identical
-// to full-sort runs (the audit path sorts, the hot path pops).
+// The engine relies on this to keep selection runs bit-identical to
+// full-sort runs (the audit path sorts, the hot path selects).
 package alloc
 
 import "slices"
@@ -37,12 +39,15 @@ type Entry struct {
 }
 
 // Index is a reusable candidate index. The zero value is ready to use.
-// Typical cycle: Reset, Add each candidate, then either Init+Pop (lazy
-// ordered selection) or Sort (full order for instrumented runs).
+// Typical cycle: Reset, Add each candidate, then one of Init+Pop or
+// Next (lazy ordered selection) or Sort (full order for instrumented
+// runs).
 type Index struct {
 	entries []Entry
-	n       int // live heap length; entries[n:len] are popped
+	n       int // live length; entries[n:len] are popped
 	desc    bool
+	next    int // Next's phase since Reset
+	staged  int // entries stage moved to entries[n-staged:n], not yet returned
 }
 
 // Reset empties the index, reusing its storage. descending selects
@@ -51,6 +56,8 @@ func (x *Index) Reset(descending bool) {
 	x.entries = x.entries[:0]
 	x.n = 0
 	x.desc = descending
+	x.next = nextScan
+	x.staged = 0
 }
 
 // Add appends a candidate. Call Init before the first Pop.
@@ -92,6 +99,84 @@ func (x *Index) Pop() Entry {
 		x.siftDown(0)
 	}
 	return top
+}
+
+// linearPicks is how many candidates Next takes from its one linear
+// scan. The spare feed's prefix is one or two candidates, sometimes
+// three or four, and on the scale-drm cell four left the heap unused
+// where two still built it often. The scan costs about k compares on
+// unordered entries (at most 4k); a longer prefix heapifies the rest,
+// so it costs one scan more than Init+Pop, never O(k²).
+const linearPicks = 4
+
+// Next removes and returns the next candidate in feed order. It needs
+// no Init: the first call scans the entries once for the first
+// linearPicks in order and stages them at the end of the un-popped
+// region, later calls pop staged entries in O(1), and once those are
+// used up the rest is heapified once and popped. Do not mix with
+// Init/Pop. The popped entry remains reachable via All. Panics when
+// empty.
+func (x *Index) Next() Entry {
+	switch x.next {
+	case nextScan:
+		x.staged = x.stage()
+		x.next = nextStaged
+	case nextStaged:
+		if x.staged == 0 {
+			x.Init()
+			x.next = nextHeap
+		}
+	}
+	if x.next == nextStaged {
+		x.staged--
+		x.n--
+		return x.entries[x.n]
+	}
+	return x.Pop()
+}
+
+// Next's phases.
+const (
+	nextScan   = iota // no Next call since Reset
+	nextStaged        // returning the entries stage moved to the end
+	nextHeap          // popping the heapified rest
+)
+
+// stage finds the first min(linearPicks, n) un-popped entries in feed
+// order with one scan and moves them to the end of the un-popped
+// region, the first one last, so that Next pops them off the end. It
+// returns how many it moved.
+func (x *Index) stage() int {
+	e := x.entries[:x.n]
+	var top [linearPicks]int // positions of the first entries, in order
+	c := 0
+	for j := range e {
+		if c == len(top) {
+			if !x.before(e[j], e[top[c-1]]) {
+				continue
+			}
+			c-- // j displaces the last of the current top
+		}
+		p := c
+		for p > 0 && x.before(e[j], e[top[p-1]]) {
+			top[p] = top[p-1]
+			p--
+		}
+		top[p] = j
+		c++
+	}
+	for r := 0; r < c; r++ {
+		dst := len(e) - 1 - r
+		e[top[r]], e[dst] = e[dst], e[top[r]]
+		// The entry that sat at dst moved to top[r]; it may be a later
+		// member of the top.
+		for q := r + 1; q < c; q++ {
+			if top[q] == dst {
+				top[q] = top[r]
+			}
+		}
+	}
+	return c
 }
 
 func (x *Index) siftDown(i int) {

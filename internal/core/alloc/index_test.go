@@ -15,8 +15,11 @@ func popAll(x *Index) []Entry {
 }
 
 // TestPopMatchesSort is the determinism contract: lazy heap selection
-// must yield exactly the order a full sort produces, ascending and
-// descending, including duplicate keys broken by id.
+// and Next's linear-then-heap selection must yield exactly the order a
+// full sort produces, ascending and descending, including duplicate
+// keys broken by id. Next is also checked on partial prefixes, short of
+// and past its switch to the heap: the prefix is Sort's prefix and the
+// rest of the entries stay in Rest and All.
 func TestPopMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, desc := range []bool{false, true} {
@@ -26,13 +29,15 @@ func TestPopMatchesSort(t *testing.T) {
 			for i := range keys {
 				keys[i] = float64(rng.Intn(20)) // force duplicate keys
 			}
+			// Ids are distinct but not in key or insertion order.
+			ids := rng.Perm(n)
 
-			var a, b Index
-			a.Reset(desc)
-			b.Reset(desc)
-			for i, k := range keys {
-				a.Add(k, int64(i), int32(i))
-				b.Add(k, int64(i), int32(i))
+			var a, b, c, d Index
+			for _, x := range []*Index{&a, &b, &c, &d} {
+				x.Reset(desc)
+				for i, k := range keys {
+					x.Add(k, int64(ids[i]), int32(i))
+				}
 			}
 			a.Init()
 			got := popAll(&a)
@@ -40,8 +45,36 @@ func TestPopMatchesSort(t *testing.T) {
 			if !slices.Equal(got, want) {
 				t.Fatalf("desc=%v n=%d: pop order != sort order\n got %v\nwant %v", desc, n, got, want)
 			}
+			if got := nextAll(&c, n); !slices.Equal(got, want) {
+				t.Fatalf("desc=%v n=%d: next order != sort order\n got %v\nwant %v", desc, n, got, want)
+			}
+			m := rng.Intn(n + 1)
+			if trial%5 == 0 {
+				m = min(n, linearPicks+trial%3) // around the switch to the heap
+			}
+			if got := nextAll(&d, m); !slices.Equal(got, want[:m]) {
+				t.Fatalf("desc=%v n=%d: next prefix of %d != sort prefix\n got %v\nwant %v", desc, n, m, got, want[:m])
+			}
+			if d.Len() != n-m || len(d.Rest()) != n-m || len(d.All()) != n {
+				t.Fatalf("desc=%v n=%d m=%d: len %d, rest %d, all %d", desc, n, m, d.Len(), len(d.Rest()), len(d.All()))
+			}
+			rest := slices.Clone(d.Rest())
+			slices.SortFunc(rest, func(x, y Entry) int { return int(x.Pos - y.Pos) })
+			wantRest := slices.Clone(want[m:])
+			slices.SortFunc(wantRest, func(x, y Entry) int { return int(x.Pos - y.Pos) })
+			if !slices.Equal(rest, wantRest) {
+				t.Fatalf("desc=%v n=%d m=%d: rest after the prefix\n got %v\nwant %v", desc, n, m, rest, wantRest)
+			}
 		}
 	}
+}
+
+func nextAll(x *Index, m int) []Entry {
+	var out []Entry
+	for range m {
+		out = append(out, x.Next())
+	}
+	return out
 }
 
 func TestPartialPopRestAll(t *testing.T) {

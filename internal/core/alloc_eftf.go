@@ -27,10 +27,10 @@ func init() {
 func (eftfAllocator) Name() string { return AllocMinFlowEFTF }
 
 func (eftfAllocator) Allocate(e *Engine, s *server, t float64) float64 {
-	avail := e.minFlowRates(s, t)
+	avail := e.minFlowRates(s, t, e.spareMisorder)
 	avail = e.allocateCopies(s, t, avail)
 	if e.cfg.Workahead && avail > dataEps {
-		e.feedSpareOrdered(s, t, avail, e.spareMisorder)
+		e.feedSpareOrdered(s, t, avail)
 	}
 	return s.wakeAt(t)
 }

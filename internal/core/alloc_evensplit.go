@@ -12,7 +12,7 @@ func init() {
 func (evenSplitAllocator) Name() string { return AllocMinFlowEvenSplit }
 
 func (evenSplitAllocator) Allocate(e *Engine, s *server, t float64) float64 {
-	avail := e.minFlowRates(s, t)
+	avail := e.minFlowRates(s, t, false)
 	avail = e.allocateCopies(s, t, avail)
 	if e.cfg.Workahead && avail > dataEps {
 		e.feedSpareEven(s, t, avail)

@@ -92,7 +92,7 @@ func (e *Engine) allocateIntermittent(s *server, t float64) {
 			if avail >= bview-dataEps {
 				ln.rate[i] = bview
 				avail -= bview
-				ln.setWake(i, e.wakeKeyServing(s, s.active[i], int(i), t))
+				ln.setWake(i, e.wakeKeyServing(s, int(i), t))
 				continue
 			}
 			e.pauseIntermittent(s, i, ent.Key, t)
@@ -148,7 +148,7 @@ func (e *Engine) intermittentAudited(s *server, t float64, avail float64) float6
 		case avail >= bview-dataEps:
 			ln.rate[i] = bview
 			avail -= bview
-			ln.setWake(i, e.wakeKeyServing(s, s.active[i], int(i), t))
+			ln.setWake(i, e.wakeKeyServing(s, int(i), t))
 		default:
 			e.pauseIntermittent(s, i, ent.Key, t)
 		}
@@ -181,8 +181,8 @@ func (e *Engine) canAccept(s *server, t float64) bool {
 func (e *Engine) urgentCount(s *server, t float64) int {
 	guard := e.resumeGuard() * e.cfg.ViewRate
 	n := 0
-	for i, r := range s.active {
-		if s.suspendedAt(i, t) || s.finishedAt(i) || r.pausedView {
+	for i := range s.ln.paused {
+		if s.suspendedAt(i, t) || s.finishedAt(i) || s.ln.paused[i] {
 			// Paused viewers consume nothing until they resume.
 			continue
 		}

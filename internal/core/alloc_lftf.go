@@ -13,10 +13,10 @@ func init() {
 func (lftfAllocator) Name() string { return AllocMinFlowLFTF }
 
 func (lftfAllocator) Allocate(e *Engine, s *server, t float64) float64 {
-	avail := e.minFlowRates(s, t)
+	avail := e.minFlowRates(s, t, true)
 	avail = e.allocateCopies(s, t, avail)
 	if e.cfg.Workahead && avail > dataEps {
-		e.feedSpareOrdered(s, t, avail, true)
+		e.feedSpareOrdered(s, t, avail)
 	}
 	return s.wakeAt(t)
 }

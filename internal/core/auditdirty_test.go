@@ -132,6 +132,13 @@ func TestLaneCheckTapCatchesCorruption(t *testing.T) {
 		"lane size":               func(s *server) { s.ln.size[0]++ },
 		"slot index corrupt":      func(s *server) { s.active[0].slot = 1 },
 		"lane arrays out of step": func(s *server) { s.ln.wake = append(s.ln.wake, 0) },
+		"lane view offset":        func(s *server) { s.ln.viewOff[0]++ },
+		"lane view sync":          func(s *server) { s.ln.viewSync[0]-- },
+		"lane paused":             func(s *server) { s.ln.paused[0] = !s.ln.paused[0] },
+		"lane bufCap":             func(s *server) { s.ln.bufCap[0]++ },
+		"lane pinned":             func(s *server) { s.ln.pinned[0] = !s.ln.pinned[0] },
+		"lane video":              func(s *server) { s.ln.video[0]++ },
+		"lane hops":               func(s *server) { s.ln.hops[0]++ },
 	}
 	for want, corrupt := range sabotage {
 		e, _ := buildKitchenSink(t, 3)

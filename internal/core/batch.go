@@ -195,7 +195,7 @@ func (batchPrefix) TryJoin(e *Engine, v int, t, bufCap, recvCap float64, class i
 	}
 	s := e.servers[primary.server]
 	s.syncAll(t)
-	primary.taps++
+	s.addTap(primary)
 
 	// Every suffix stream of v starts startOff = prefix deep (the
 	// prefix size is fixed per run), so the joiner's delivery is

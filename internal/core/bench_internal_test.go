@@ -84,8 +84,11 @@ func BenchmarkAllocateSaturated(b *testing.B) {
 }
 
 // BenchmarkSpreadSpare isolates the workahead spreader: rates are reset
-// to the minimum flow each iteration, then the spare is spread in EFTF
-// order (plus the fused next-wake pass after the refactor).
+// to the minimum flow each iteration, then the candidates are gathered
+// and the spare is spread in EFTF order, rewriting the fed slots' wake
+// keys. The minimum-flow allocators gather inside their round
+// (BenchmarkAllocate); this separate gather is the intermittent
+// allocator's.
 func BenchmarkSpreadSpare(b *testing.B) {
 	for _, k := range benchKs {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {

@@ -40,7 +40,7 @@ func (e *Engine) evictSlot0(s *server, t float64) evictOutcome {
 	// Rescue is migration: it requires DRM to be configured (the
 	// paper's fault-tolerance benefit comes from the ability to
 	// switch servers mid-stream).
-	if e.cfg.Migration.Enabled && e.migratable(r, t, true) {
+	if e.cfg.Migration.Enabled && e.migratableAt(s, 0, t, true) {
 		for _, h := range e.holders(int(r.video)) {
 			c := e.servers[h]
 			if e.cfg.Intermittent {
@@ -75,8 +75,8 @@ func (e *Engine) evictSlot0(s *server, t float64) evictOutcome {
 	}
 	target.syncAll(t)
 	s.detach(r)
+	r.hops++ // before attach, which carries it into the lane
 	target.attach(r)
-	r.hops++
 	if d := e.cfg.Migration.SwitchDelay; d > 0 {
 		target.setSuspend(r, t+d)
 	}

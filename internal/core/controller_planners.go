@@ -31,7 +31,7 @@ func (directOnlyPlanner) Plan(e *Engine, s *server, now float64, depth int, visi
 	if depth != 1 {
 		return nil
 	}
-	s.syncAll(now) // migratable's switch-delay check reads buffer levels
+	s.syncAll(now) // migratableAt's switch-delay check reads buffer levels
 	if m, ok := e.planDirect(s, now); ok {
 		return []move{m}
 	}
@@ -42,29 +42,73 @@ func (directOnlyPlanner) Plan(e *Engine, s *server, now float64, depth int, visi
 // among s's migratable requests with a free-slot target, it picks the
 // pair whose target has the lowest load (ties: lowest request id, then
 // lowest target id), mirroring the least-loaded assignment rule.
+//
+// It scans the lane, and computes each video's best target once per
+// call (directTarget) instead of re-checking the same holders for
+// every stream of the video. For a fixed request the lowest (load,
+// request id, target id) pair uses that request's lowest (load, target
+// id) holder, which is its video's best target, so the winner over
+// (slot, video target) pairs is the winner over all (request, holder)
+// pairs.
 func (e *Engine) planDirect(s *server, now float64) (move, bool) {
+	if n := e.cat.Len(); len(e.drmTargets) < n {
+		e.drmTargets = make([]drmTarget, n)
+	}
+	e.drmCall++
 	var best move
 	bestLoad := -1
-	for _, r := range s.active {
-		if !e.migratable(r, now, false) {
+	for i, v := range s.ln.video {
+		if !e.migratableAt(s, i, now, false) {
 			continue
 		}
-		for _, h := range e.holders(int(r.video)) {
+		t := e.directTarget(s, v, now)
+		if t == nil || (bestLoad >= 0 && t.load() > bestLoad) {
+			continue
+		}
+		if r := s.active[i]; bestLoad == -1 || t.load() < bestLoad || r.id < best.r.id {
+			best = move{r: r, to: t}
+			bestLoad = t.load()
+		}
+	}
+	return best, bestLoad >= 0
+}
+
+// drmTarget is one video's slot in planDirect's per-video scratch: the
+// best target server found for the video (-1 for none), valid while
+// stamp equals the engine's planDirect call count. Stamping replaces a
+// per-call clear.
+type drmTarget struct {
+	stamp  uint64
+	server int32
+}
+
+// directTarget returns the best target for moving a stream of video v
+// off s — the lowest-load, then lowest-id, holder other than s that can
+// accept a stream — or nil. It is computed once per planDirect call.
+func (e *Engine) directTarget(s *server, v int32, now float64) *server {
+	slot := &e.drmTargets[v]
+	if slot.stamp != e.drmCall {
+		best, bestLoad := int32(-1), 0
+		for _, h := range e.holders(int(v)) {
 			t := e.servers[h]
 			if e.cfg.Intermittent {
 				t.syncAll(now) // canAccept reads buffer levels
 			}
-			if !e.canAccept(t, now) || !e.eligibleTarget(r, t, now) {
+			// Every holder holds v, and canAccept rules out failed
+			// servers: eligibleTarget reduces to t != s.
+			if t == s || !e.canAccept(t, now) {
 				continue
 			}
-			if bestLoad == -1 || t.load() < bestLoad ||
-				(t.load() == bestLoad && (r.id < best.r.id || (r.id == best.r.id && t.id < best.to.id))) {
-				best = move{r: r, to: t}
-				bestLoad = t.load()
+			if best < 0 || t.load() < bestLoad || (t.load() == bestLoad && t.id < best) {
+				best, bestLoad = t.id, t.load()
 			}
 		}
+		slot.stamp, slot.server = e.drmCall, best
 	}
-	return best, bestLoad >= 0
+	if slot.server < 0 {
+		return nil
+	}
+	return e.servers[slot.server]
 }
 
 // planChain tries to free one slot on s using at most depthLeft
@@ -75,7 +119,7 @@ func (e *Engine) planChain(s *server, now float64, depthLeft int, visited []bool
 	if depthLeft <= 0 {
 		return nil
 	}
-	// Bring fluid state up to date before reading buffers: migratable's
+	// Bring fluid state up to date before reading buffers: migratableAt's
 	// switch-delay check depends on each request's current buffer level.
 	s.syncAll(now)
 	if m, ok := e.planDirect(s, now); ok {
@@ -86,8 +130,8 @@ func (e *Engine) planChain(s *server, now float64, depthLeft int, visited []bool
 	}
 	// No direct target has room: try to free a slot on some candidate
 	// target first, then move one of s's requests onto it.
-	for _, r := range s.active {
-		if !e.migratable(r, now, false) {
+	for i, r := range s.active {
+		if !e.migratableAt(s, i, now, false) {
 			continue
 		}
 		for _, h := range e.holders(int(r.video)) {

@@ -118,6 +118,84 @@ func TestAllocateReceiveCapEqualsViewRate(t *testing.T) {
 	}
 }
 
+// TestSpareFeedStopsWhenNoClientCanAbsorb is the zero-headroom case of
+// the ordered feed: every client's receive cap equals b_view, so no
+// candidate can take spare. The feed must stop after its first
+// selection — one linear scan plus one check of the rest, linear in
+// the candidate count — rather than select each candidate in turn.
+// With one client that can absorb, last in feed order, the feed must
+// still reach it.
+func TestSpareFeedStopsWhenNoClientCanAbsorb(t *testing.T) {
+	const k = 1000
+	for _, absorber := range []bool{false, true} {
+		cfg := Config{
+			ServerBandwidth: []float64{6 * k}, ViewRate: 3,
+			Workahead: true, ReceiveCap: 3, BufferCapacity: 1e6,
+		}
+		e := &Engine{cfg: cfg}
+		s := mkServer(6*k, 3)
+		var last *request
+		for i := 0; i < k; i++ {
+			// sent falls with i, so the last request has the most
+			// remaining volume and comes last in EFTF order.
+			last = addReq(e, s, int64(i+1), 3600, float64(k-i), 0, 0)
+		}
+		if absorber {
+			last.recvCap = 30 // read from the request, not mirrored in the lane
+		}
+		e.allocate(s, 0)
+		for i, rate := range s.ln.rate {
+			want := 3.0
+			if absorber && s.active[i] == last {
+				want = 30
+			}
+			if rate != want {
+				t.Fatalf("absorber=%v: slot %d rate %v, want %v", absorber, i, rate, want)
+			}
+		}
+		if !absorber && e.cand.Len() != k-1 {
+			t.Errorf("zero headroom: feed selected %d of %d candidates, want 1", k-e.cand.Len(), k)
+		}
+		if got, want := s.wakeAt(0), e.nextWake(s, 0); got != want {
+			t.Errorf("absorber=%v: wake index %v != scan %v", absorber, got, want)
+		}
+	}
+}
+
+// TestSpareOnFullServerIsFed covers the spare a full server has only
+// because one slot does not transmit: every slot is taken, so the
+// minimum-flow pass skips its in-loop gather, and the b_view the
+// suspended slot leaves must still reach the earliest finisher.
+func TestSpareOnFullServerIsFed(t *testing.T) {
+	cfg := Config{
+		ServerBandwidth: []float64{30}, ViewRate: 3,
+		Workahead: true, ReceiveCap: 30, BufferCapacity: 10000,
+	}
+	e := &Engine{cfg: cfg}
+	s := mkServer(30, 3)
+	var reqs []*request
+	for i := 0; i < 10; i++ {
+		reqs = append(reqs, addReq(e, s, int64(i+1), 3600, float64(100*i), 0, 0))
+	}
+	s.setSuspend(reqs[0], 50)
+	e.allocate(s, 0)
+	for i, r := range reqs {
+		want := 3.0
+		switch i {
+		case 0:
+			want = 0 // suspended
+		case 9:
+			want = 6 // earliest finisher takes the suspended slot's b_view
+		}
+		if got := rateOf(s, r); !approx(got, want, 1e-9) {
+			t.Errorf("request %d rate = %v, want %v", r.id, got, want)
+		}
+	}
+	if got, want := s.wakeAt(0), e.nextWake(s, 0); got != want {
+		t.Errorf("wake index %v != scan %v", got, want)
+	}
+}
+
 func TestAllocateSuspendedGetsNothing(t *testing.T) {
 	cfg := Config{ServerBandwidth: []float64{100}, ViewRate: 3, Workahead: true, BufferCapacity: 600, ReceiveCap: 30}
 	e := &Engine{cfg: cfg}

@@ -160,6 +160,13 @@ type Engine struct {
 	touchedBuf []*server
 	visited    []bool
 	freeList   []*request
+
+	// planDirect's per-video best-target scratch (see directTarget),
+	// sized to the catalog on first use and stamped with drmCall, which
+	// counts planDirect calls over the engine's life (never reset, so an
+	// entry left from an earlier call or run never matches).
+	drmTargets []drmTarget
+	drmCall    uint64
 }
 
 // NewEngine validates the configuration and assembles an engine. The
@@ -702,11 +709,9 @@ func (e *Engine) handleInteraction(id int64, t float64, pause bool) {
 	}
 	s := e.servers[r.server]
 	s.syncAll(t)
+	s.setPaused(r, pause, t, e.cfg.ViewRate)
 	if pause {
-		r.pauseViewing(t, e.cfg.ViewRate)
 		e.metrics.ViewerPauses++
-	} else {
-		r.resumeViewing(t)
 	}
 	e.reschedule(s, t)
 }

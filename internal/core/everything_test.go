@@ -126,7 +126,7 @@ func kitchenSinkParts(t testing.TB, seed uint64) (Config, *catalog.Catalog, *pla
 // identities that must hold regardless of configuration. Every seed
 // also runs bare, with no tap, and must produce identical metrics: a
 // tap switches spare and intermittent feeding to their audited paths,
-// so the bare run pins the production ones (the lazy spare heap and
+// so the bare run pins the production ones (the lazy spare selection and
 // the unaudited intermittent feed) to the audited behavior.
 func TestKitchenSinkFuzz(t *testing.T) {
 	prop := func(seedRaw uint16, failServer uint8) bool {

@@ -86,7 +86,8 @@ func attachTestAuditor(t testing.TB, e *Engine) {
 // laneCheckTap runs the lane-structure assertions no audit rule covers
 // after every event, then hands the record to the auditor: each lane
 // slice holds one entry per active stream, each request's slot is its
-// index, and the lane's size mirror equals the request's size.
+// index, and every mirror column (size, the view state, bufCap, pinned,
+// video, hops) equals the request field it mirrors.
 type laneCheckTap struct {
 	AuditTap
 	e *Engine
@@ -97,21 +98,51 @@ func (l *laneCheckTap) Event(rec AuditEventRecord) error {
 		if s.failed {
 			continue
 		}
-		if n := len(s.active); len(s.ln.rate) != n || len(s.ln.sent) != n ||
-			len(s.ln.last) != n || len(s.ln.susp) != n ||
-			len(s.ln.size) != n || len(s.ln.wake) != n {
-			return fmt.Errorf("core: server %d lane arrays out of step with %d active streams", s.id, n)
+		ln := &s.ln
+		n := len(s.active)
+		for _, m := range [...]int{
+			len(ln.rate), len(ln.sent), len(ln.last), len(ln.susp), len(ln.size), len(ln.wake),
+			len(ln.viewOff), len(ln.viewSync), len(ln.paused), len(ln.bufCap), len(ln.pinned),
+			len(ln.video), len(ln.hops),
+		} {
+			if m != n {
+				return fmt.Errorf("core: server %d lane arrays out of step with %d active streams", s.id, n)
+			}
 		}
 		for i, r := range s.active {
 			if int(r.slot) != i {
 				return fmt.Errorf("core: server %d slot index corrupt for request %d", s.id, r.id)
 			}
-			if s.ln.size[i] != r.size {
-				return fmt.Errorf("core: request %d lane size %g != %g", r.id, s.ln.size[i], r.size)
+			if col := laneMismatch(ln, i, r); col != "" {
+				return fmt.Errorf("core: request %d lane %s differs from the request", r.id, col)
 			}
 		}
 	}
 	return l.AuditTap.Event(rec)
+}
+
+// laneMismatch names the first mirror column of slot i that differs
+// from request r's field, or returns "".
+func laneMismatch(ln *lane, i int, r *request) string {
+	switch {
+	case ln.size[i] != r.size:
+		return "size"
+	case ln.viewOff[i] != r.viewOffset:
+		return "view offset"
+	case ln.viewSync[i] != r.viewSyncT:
+		return "view sync"
+	case ln.paused[i] != r.pausedView:
+		return "paused"
+	case ln.bufCap[i] != r.bufCap:
+		return "bufCap"
+	case ln.pinned[i] != (r.isPatch || r.taps > 0):
+		return "pinned"
+	case ln.video[i] != r.video:
+		return "video"
+	case ln.hops[i] != r.hops:
+		return "hops"
+	}
+	return ""
 }
 
 // run drives the engine to completion with the given horizon and

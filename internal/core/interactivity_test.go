@@ -181,7 +181,7 @@ func TestPausedViewerNotUrgent(t *testing.T) {
 	if got := e.urgentCount(s, 0); got != 1 {
 		t.Fatalf("urgentCount = %d, want 1", got)
 	}
-	r.pausedView = true // ...unless the viewer has paused
+	s.setPaused(r, true, 0, 3) // ...unless the viewer has paused
 	if got := e.urgentCount(s, 0); got != 0 {
 		t.Errorf("urgentCount = %d, want 0 for a paused viewer", got)
 	}
@@ -201,7 +201,7 @@ func TestViewedAtWhilePaused(t *testing.T) {
 	if got := r.viewedAt(600, bview); !approx(got, 600, 1e-9) {
 		t.Errorf("viewedAt after resume = %v, want 600", got)
 	}
-	if r.drainRate(bview) != bview {
-		t.Errorf("drainRate after resume = %v", r.drainRate(bview))
+	if r.pausedView {
+		t.Error("still paused after resume")
 	}
 }

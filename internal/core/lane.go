@@ -3,21 +3,28 @@ package core
 import "math"
 
 // lane is a server's structure-of-arrays data plane: the per-request
-// hot fields (rate, sent, last-sync, suspension deadline, object size)
-// and the stored wake keys, held in parallel float64 slices indexed by
-// request slot. The pointer slice server.active carries everything
-// cold (identity, viewer state, client caps, patching/park flags); the
-// lane carries everything the per-event passes — syncAll, the
-// allocation feeds, the wake query — actually touch, so those passes
-// stream contiguous arrays instead of chasing pointers across a
-// 100+-byte struct.
+// fields the per-event passes read (rate, sent, last-sync, suspension
+// deadline, object size, viewer state, staging buffer, pin flag,
+// video, hops) and the stored wake keys, held in parallel slices
+// indexed by request slot. The pointer slice server.active carries
+// everything else (identity, client receive cap, class, park and
+// glitch flags); the lane carries everything the per-event passes —
+// syncAll, the allocation round, the DRM scan, the wake query —
+// actually touch, so those passes stream contiguous arrays instead of
+// chasing pointers across a 100+-byte struct.
 //
 // Ownership contract: while a request is attached the lane is the only
-// authoritative copy of its hot fields; the request struct's carry*
-// fields are a marshaling area valid only while detached (parked
-// streams, the freelist). attach loads carry → lane; detach stores
-// lane → carry and swap-removes the slot. size never changes while
-// attached, so its lane mirror cannot go stale.
+// authoritative copy of its fluid fields (rate, sent, last, susp); the
+// request struct's carry* fields are a marshaling area valid only while
+// detached (parked streams, the freelist). attach loads carry → lane;
+// detach stores lane → carry and swap-removes the slot.
+//
+// The other columns mirror request fields, which stay authoritative:
+// size, video and bufCap never change while attached, and each of the
+// rest has exactly one attached-state write path, a server method that
+// updates the request and its slot together — setPaused (the view
+// columns), addTap (pinned), and for hops none at all: a move bumps
+// hops between detach and attach, so attach carries it.
 //
 // Wake-index contract (see wake.go for the scheduling semantics): each
 // slot stores the request's wake key — the earliest of its finish,
@@ -38,6 +45,15 @@ type lane struct {
 	size []float64 // object size mirror, immutable while attached
 	wake []float64 // stored wake key (+Inf = no wake needed)
 
+	// Mirrors of request fields (see the contract above).
+	viewOff  []float64 // request.viewOffset
+	viewSync []float64 // request.viewSyncT
+	paused   []bool    // request.pausedView
+	bufCap   []float64 // request.bufCap, immutable while attached
+	pinned   []bool    // request.isPatch || request.taps > 0
+	video    []int32   // request.video, immutable while attached
+	hops     []int32   // request.hops
+
 	wakeMin   float64 // min over wake ∪ copy keys, valid unless dirty
 	wakeArg   int32   // slot of the min; wakeArgCopy for a copy job
 	wakeDirty bool    // a key was removed or raised since the last fold
@@ -49,10 +65,28 @@ const (
 	wakeArgCopy = int32(-2) // the min is a copy job's key
 )
 
-// attach appends r's carried hot fields as a new lane slot. The wake
-// key starts at +Inf; the reschedule that follows every attach writes
-// the real key (+Inf cannot lower the maintained min, so no
-// invalidation is needed).
+// reserve gives every column room for n slots. Columns are sized on a
+// server's first attach, so appends only grow them past n.
+func (ln *lane) reserve(n int) {
+	ln.rate = make([]float64, 0, n)
+	ln.sent = make([]float64, 0, n)
+	ln.last = make([]float64, 0, n)
+	ln.susp = make([]float64, 0, n)
+	ln.size = make([]float64, 0, n)
+	ln.wake = make([]float64, 0, n)
+	ln.viewOff = make([]float64, 0, n)
+	ln.viewSync = make([]float64, 0, n)
+	ln.paused = make([]bool, 0, n)
+	ln.bufCap = make([]float64, 0, n)
+	ln.pinned = make([]bool, 0, n)
+	ln.video = make([]int32, 0, n)
+	ln.hops = make([]int32, 0, n)
+}
+
+// attach appends r's carried hot fields and mirrored fields as a new
+// lane slot. The wake key starts at +Inf; the reschedule that follows
+// every attach writes the real key (+Inf cannot lower the maintained
+// min, so no invalidation is needed).
 func (ln *lane) attach(r *request) {
 	ln.rate = append(ln.rate, r.carryRate)
 	ln.sent = append(ln.sent, r.carrySent)
@@ -60,6 +94,13 @@ func (ln *lane) attach(r *request) {
 	ln.susp = append(ln.susp, r.carrySusp)
 	ln.size = append(ln.size, r.size)
 	ln.wake = append(ln.wake, math.Inf(1))
+	ln.viewOff = append(ln.viewOff, r.viewOffset)
+	ln.viewSync = append(ln.viewSync, r.viewSyncT)
+	ln.paused = append(ln.paused, r.pausedView)
+	ln.bufCap = append(ln.bufCap, r.bufCap)
+	ln.pinned = append(ln.pinned, r.isPatch || r.taps > 0)
+	ln.video = append(ln.video, r.video)
+	ln.hops = append(ln.hops, r.hops)
 }
 
 // detach stores slot i back into r's carry fields and swap-removes the
@@ -80,7 +121,50 @@ func (ln *lane) detach(r *request, i, last int) {
 	ln.size = ln.size[:last]
 	ln.wake[i] = ln.wake[last]
 	ln.wake = ln.wake[:last]
+	ln.viewOff[i] = ln.viewOff[last]
+	ln.viewOff = ln.viewOff[:last]
+	ln.viewSync[i] = ln.viewSync[last]
+	ln.viewSync = ln.viewSync[:last]
+	ln.paused[i] = ln.paused[last]
+	ln.paused = ln.paused[:last]
+	ln.bufCap[i] = ln.bufCap[last]
+	ln.bufCap = ln.bufCap[:last]
+	ln.pinned[i] = ln.pinned[last]
+	ln.pinned = ln.pinned[:last]
+	ln.video[i] = ln.video[last]
+	ln.video = ln.video[:last]
+	ln.hops[i] = ln.hops[last]
+	ln.hops = ln.hops[:last]
 	ln.wakeDirty = true
+}
+
+// viewedAt returns the data slot i's playback has consumed at time t:
+// request.viewedAt on the mirrored view columns, the same operations in
+// the same order, clamped to the lane's size mirror.
+func (ln *lane) viewedAt(i int, t, bview float64) float64 {
+	v := ln.viewOff[i]
+	if !ln.paused[i] {
+		v += (t - ln.viewSync[i]) * bview
+	}
+	if v < 0 {
+		return 0
+	}
+	if v > ln.size[i] {
+		return ln.size[i]
+	}
+	return v
+}
+
+// stageable reports whether a transmitting, unsuspended stream may take
+// spare bandwidth, given its pin flag, staging buffer and buffer level
+// (clamped at zero): not pinned by patching, with a staging buffer that
+// still has room. Streams feeding multicast taps cannot run ahead (the
+// shared receivers' buffers bound the sender), and patch streams share
+// their client's buffer with the tapped remainder, so both stay at
+// exactly b_view. It is the one staging-candidate predicate: the
+// minimum-flow round and gatherSpareCandidates both apply it.
+func stageable(pinned bool, bufCap, buf float64) bool {
+	return !pinned && bufCap > 0 && buf < bufCap-dataEps
 }
 
 // beginRound opens an allocation round: every slot's key is about to be
@@ -122,5 +206,12 @@ func (ln *lane) reset() {
 	ln.susp = ln.susp[:0]
 	ln.size = ln.size[:0]
 	ln.wake = ln.wake[:0]
+	ln.viewOff = ln.viewOff[:0]
+	ln.viewSync = ln.viewSync[:0]
+	ln.paused = ln.paused[:0]
+	ln.bufCap = ln.bufCap[:0]
+	ln.pinned = ln.pinned[:0]
+	ln.video = ln.video[:0]
+	ln.hops = ln.hops[:0]
 	ln.beginRound()
 }

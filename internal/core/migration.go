@@ -31,30 +31,30 @@ func (e *Engine) eligibleTarget(r *request, t *server, now float64) bool {
 	return true
 }
 
-// migratable reports whether the attached request r may move at all
-// (hops budget, not mid-switch, and — when switching takes time —
-// enough buffered data to mask the blackout). rescue bypasses the hops
-// budget: a stream on a failing server is moved if at all possible.
-// r's server must be synced to now.
-func (e *Engine) migratable(r *request, now float64, rescue bool) bool {
-	s := e.servers[r.server]
-	if s.suspendedAt(int(r.slot), now) {
+// migratableAt reports whether the stream in slot i of s may move at
+// all (hops budget, not mid-switch, not pinned by patching, and — when
+// switching takes time — enough buffered data to mask the blackout; a
+// buffer refusal is counted in MigrationsRefusedByBuffer). rescue
+// bypasses the hops budget: a stream on a failing server is moved if
+// at all possible. s must be synced to now. It reads the lane only.
+func (e *Engine) migratableAt(s *server, i int, now float64, rescue bool) bool {
+	if s.suspendedAt(i, now) {
 		return false
 	}
-	if r.isPatch || r.taps > 0 {
+	if s.ln.pinned[i] {
 		// Patching pins streams to their server: the multicast tree
 		// feeding the taps cannot move.
 		return false
 	}
 	if !rescue {
 		mh := e.cfg.Migration.MaxHops
-		if mh != UnlimitedHops && int(r.hops) >= mh {
+		if mh != UnlimitedHops && int(s.ln.hops[i]) >= mh {
 			return false
 		}
 	}
 	if d := e.cfg.Migration.SwitchDelay; d > 0 {
 		need := d * e.cfg.ViewRate
-		if s.bufferOf(int(r.slot), now, e.cfg.ViewRate) < need-dataEps {
+		if s.bufferOf(i, now, e.cfg.ViewRate) < need-dataEps {
 			e.metrics.MigrationsRefusedByBuffer++
 			return false
 		}
@@ -84,8 +84,8 @@ func (e *Engine) executeMoves(plan []move, now float64, rescue bool) {
 	for _, m := range plan {
 		from := e.servers[m.r.server]
 		from.detach(m.r)
+		m.r.hops++ // before attach, which carries it into the lane
 		m.to.attach(m.r)
-		m.r.hops++
 		if d := e.cfg.Migration.SwitchDelay; d > 0 {
 			m.to.setSuspend(m.r, now+d)
 		}

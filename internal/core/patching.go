@@ -96,7 +96,7 @@ func (e *Engine) tryPatchJoin(v int, t float64, bufCap, recvCap float64) (*serve
 	joiner.isPatch = true
 	joiner.bufCap, joiner.recvCap = bufCap, recvCap
 	s.attach(joiner)
-	primary.taps++
+	s.addTap(primary)
 
 	full := e.cat.Video(v).Size
 	e.metrics.Accepted++

@@ -144,15 +144,6 @@ func (r *request) resumeViewing(t float64) {
 	r.pausedView = false
 }
 
-// drainRate returns the rate at which the client consumes buffered
-// data: b_view while playing, 0 while the viewer has paused.
-func (r *request) drainRate(bview float64) float64 {
-	if r.pausedView {
-		return 0
-	}
-	return bview
-}
-
 // bufferAt returns the client buffer occupancy at time t from the
 // carried state. Detached requests only; must be synced to t.
 func (r *request) bufferAt(t float64, bview float64) float64 {

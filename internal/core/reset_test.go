@@ -18,7 +18,7 @@ import (
 // set, and seeds). The kitchen-sink builder supplies the scenario
 // diversity; every feature's state must therefore survive — or be
 // wiped by — Reset correctly. Every seed runs twice: bare, which pins
-// the production feed paths (the lazy spare heap, the unaudited
+// the production feed paths (the lazy spare selection, the unaudited
 // intermittent feed), and audited with the dirty set completeness check
 // on, so the reused engine's retained snapshot buffers must also start
 // the run afresh.

@@ -51,8 +51,15 @@ func (s *server) hasSlot() bool {
 func (s *server) load() int { return len(s.active) }
 
 // attach adds r to the active set, loading its carried hot fields into
-// the lane.
+// the lane. A server's first attach sizes the active slice and the lane
+// to its minimum-flow slots, so a filling server does not leave a trail
+// of outgrown arrays behind it (appends still grow past slots, as
+// intermittent scheduling over-subscribes).
 func (s *server) attach(r *request) {
+	if cap(s.active) == 0 {
+		s.active = make([]*request, 0, s.slots)
+		s.ln.reserve(s.slots)
+	}
 	r.server = s.id
 	r.slot = int32(len(s.active))
 	s.active = append(s.active, r)
@@ -131,7 +138,7 @@ func (s *server) suspendedAt(i int, t float64) bool { return s.ln.susp[i] > t+ti
 // bufferOf returns slot i's client buffer occupancy at time t. The
 // slot must be synced to t.
 func (s *server) bufferOf(i int, t, bview float64) float64 {
-	b := s.ln.sent[i] - s.active[i].viewedAt(t, bview)
+	b := s.ln.sent[i] - s.ln.viewedAt(i, t, bview)
 	if b < 0 {
 		return 0 // float noise only; the model guarantees buffer ≥ 0
 	}
@@ -143,5 +150,30 @@ func (s *server) bufferOf(i int, t, bview float64) float64 {
 // reconnection).
 func (s *server) setSuspend(r *request, until float64) {
 	s.ln.susp[r.slot] = until
+	s.auditDirty = true
+}
+
+// Attached-state writes to mirrored fields. Each field has one write
+// path while its request is attached: the request and its lane slot are
+// updated together (see lane.go).
+
+// setPaused pauses (or resumes) the attached request r's playback at
+// time t.
+func (s *server) setPaused(r *request, pause bool, t, bview float64) {
+	if pause {
+		r.pauseViewing(t, bview)
+	} else {
+		r.resumeViewing(t)
+	}
+	i := r.slot
+	s.ln.viewOff[i], s.ln.viewSync[i], s.ln.paused[i] = r.viewOffset, r.viewSyncT, r.pausedView
+	s.auditDirty = true
+}
+
+// addTap records one more multicast dependent fed from the attached
+// request r, which pins r to s.
+func (s *server) addTap(r *request) {
+	r.taps++
+	s.ln.pinned[r.slot] = true
 	s.auditDirty = true
 }

@@ -4,16 +4,22 @@ import "math"
 
 // Spare-bandwidth staging shared by the allocation policies: gathering
 // the staging candidates of a server into the engine's reusable index,
-// then feeding them in the discipline's order.
+// then feeding them in the discipline's order. The minimum-flow round
+// gathers the candidates in its own pass over the lane (minFlowRates);
+// the intermittent allocator, which runs its own round, gathers them
+// here (gatherSpareCandidates). Both apply stageable and key each
+// candidate by its clamped remaining volume, in slot order.
 //
 // The hot path never sorts. Feeding spare in (key, id) order only needs
 // the fed *prefix* of that order — once the spare is exhausted every
-// later candidate's grant is zero and its state untouched — so the
-// index heapifies the candidates in O(k) and pops just the prefix.
-// Audited runs instead sort the full candidate list (the SpareOrder tap
-// reports every would-be grant in feed order); the per-request rates
-// are identical either way because Index.Pop yields exactly Sort's
-// order, and the grant arithmetic is the same code.
+// later candidate's grant is zero and its state untouched — and that
+// prefix is short: a client absorbs up to b_receive − b_view, so one or
+// two grants usually use up the spare. Index.Next takes it from one
+// linear scan (heapifying only if the prefix runs long). Audited runs
+// instead sort the full candidate list (the SpareOrder tap reports
+// every would-be grant in feed order); the per-request rates are
+// identical either way because Next yields exactly Sort's order, and
+// the grant arithmetic is the same code.
 //
 // Every feed rewrites the wake key of each slot whose rate it raises
 // (see wake.go): a raised rate moves both the finish and the
@@ -22,45 +28,36 @@ import "math"
 
 // gatherSpareCandidates fills e.cand with s's staging candidates at
 // time t: unfinished (always true for active requests), not suspended,
-// transmitting, not pinned by patching, with buffer room left. Each
-// entry's key is the request's untransmitted volume — the EFTF/LFTF
-// ordering quantity — and its position indexes s.active.
+// transmitting, and stageable. Each entry's key is the request's
+// untransmitted volume — the EFTF/LFTF ordering quantity — and its
+// position indexes s.active; the id is filled in by the ordered feed
+// (candidateIDs).
 func (e *Engine) gatherSpareCandidates(s *server, t float64, descending bool) {
 	bview := e.cfg.ViewRate
 	e.cand.Reset(descending)
 	ln := &s.ln
 	rateA := ln.rate
 	suspA := ln.susp[:len(rateA)]
-	sentA := ln.sent[:len(rateA)]
-	sizeA := ln.size[:len(rateA)]
-	for i := range rateA {
-		if suspA[i] > t+timeEps || rateA[i] <= 0 {
+	pinnedA := ln.pinned[:len(rateA)]
+	bufCapA := ln.bufCap[:len(rateA)]
+	for i, rate := range rateA {
+		if suspA[i] > t+timeEps || rate <= 0 || !stageable(pinnedA[i], bufCapA[i], s.bufferOf(i, t, bview)) {
 			continue
 		}
-		r := s.active[i]
-		// Streams feeding multicast taps cannot run ahead (the shared
-		// receivers' buffers bound the sender), and patch streams share
-		// their client's buffer with the tapped remainder, so both stay
-		// at exactly b_view.
-		if r.taps > 0 || r.isPatch {
-			continue
-		}
-		// bufferOf and remainingOf unrolled onto one sent load (and the r
-		// chase already paid above); same operations, same clamps.
-		sent := sentA[i]
-		if r.bufCap > 0 {
-			buf := sent - r.viewedAt(t, bview)
-			if buf < 0 {
-				buf = 0
-			}
-			if buf < r.bufCap-dataEps {
-				rem := sizeA[i] - sent
-				if rem < 0 {
-					rem = 0
-				}
-				e.cand.Add(rem, r.id, int32(i))
-			}
-		}
+		e.cand.Add(s.remainingOf(i), 0, int32(i))
+	}
+}
+
+// candidateIDs fills in the request ids of the gathered candidates,
+// which break key ties in the feed order. The gathers leave them unset:
+// this tight loop issues the ~20 request loads back to back, so their
+// cache misses overlap, where loads spread over the gather's per-slot
+// work each stalled on its own. The even split, order-free, never
+// reads the ids.
+func (e *Engine) candidateIDs(s *server) {
+	ents := e.cand.All()
+	for j := range ents {
+		ents[j].ID = s.active[ents[j].Pos].id
 	}
 }
 
@@ -81,46 +78,71 @@ func spareGrantTo(rate, recvCap, avail float64) float64 {
 	return extra
 }
 
-// spreadSpare hands spare bandwidth to staging candidates under the
-// configured discipline. Requests must be synced to t and already hold
-// their minimum rates.
+// spreadSpare gathers s's staging candidates and hands them spare
+// bandwidth under the configured discipline: the intermittent
+// allocator's workahead. Requests must be synced to t and already hold
+// their base rates.
 func (e *Engine) spreadSpare(s *server, t float64, avail float64) {
 	switch e.cfg.Spare {
 	case EvenSplit:
+		e.gatherSpareCandidates(s, t, false)
 		e.feedSpareEven(s, t, avail)
 	case LFTF:
 		// Latest projected finish first: the adversarial opposite.
-		e.feedSpareOrdered(s, t, avail, true)
+		e.gatherSpareCandidates(s, t, true)
+		e.feedSpareOrdered(s, t, avail)
 	default:
 		// EFTF: earliest projected finish first; ties broken by request
 		// id for determinism. DebugForceSpareMisorder inverts the order
 		// (test-only sabotage the auditor must catch).
-		e.feedSpareOrdered(s, t, avail, e.spareMisorder)
+		e.gatherSpareCandidates(s, t, e.spareMisorder)
+		e.feedSpareOrdered(s, t, avail)
 	}
 }
 
-// feedSpareOrdered feeds spare to candidates in ascending (descending
-// when inverted) remaining-volume order.
-func (e *Engine) feedSpareOrdered(s *server, t float64, avail float64, descending bool) {
-	e.gatherSpareCandidates(s, t, descending)
+// feedSpareOrdered feeds spare to the gathered candidates in the
+// index's order: ascending (descending when gathered so) remaining
+// volume.
+func (e *Engine) feedSpareOrdered(s *server, t float64, avail float64) {
 	if e.cand.Len() == 0 {
 		return
 	}
+	e.candidateIDs(s)
 	if e.audit != nil {
 		e.feedSpareAudited(s, t, avail)
 		return
 	}
 	ln := &s.ln
-	e.cand.Init()
+	checked := false
 	for avail > dataEps && e.cand.Len() > 0 {
-		i := e.cand.Pop().Pos
-		r := s.active[i]
-		if extra := spareGrantTo(ln.rate[i], r.recvCap, avail); extra > 0 {
+		i := e.cand.Next().Pos
+		if extra := spareGrantTo(ln.rate[i], s.active[i].recvCap, avail); extra > 0 {
 			ln.rate[i] += extra
 			avail -= extra
-			ln.setWake(i, e.wakeKeyServing(s, r, int(i), t))
+			ln.setWake(i, e.wakeKeyServing(s, int(i), t))
+			continue
+		}
+		// A saturated client. When no remaining candidate can absorb
+		// spare either (every client capped at b_view), the feed is
+		// over: stop instead of selecting each of them in turn.
+		if !checked {
+			checked = true
+			if !e.anyCanAbsorb(s, avail) {
+				return
+			}
 		}
 	}
+}
+
+// anyCanAbsorb reports whether any un-fed candidate in e.cand would be
+// granted part of avail.
+func (e *Engine) anyCanAbsorb(s *server, avail float64) bool {
+	for _, ent := range e.cand.Rest() {
+		if spareGrantTo(s.ln.rate[ent.Pos], s.active[ent.Pos].recvCap, avail) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // feedSpareAudited is the instrumented ordered feed: every candidate's
@@ -144,21 +166,21 @@ func (e *Engine) feedSpareAudited(s *server, t float64, avail float64) {
 		if extra > 0 {
 			ln.rate[i] += extra
 			avail -= extra
-			ln.setWake(i, e.wakeKeyServing(s, r, int(i), t))
+			ln.setWake(i, e.wakeKeyServing(s, int(i), t))
 		}
 	}
 	e.spareGrantBuf = grants
 	e.auditFail(e.audit.SpareOrder(t, s.id, e.cfg.Spare, grants))
 }
 
-// feedSpareEven water-fills spare equally across the candidates,
-// redistributing what saturated clients cannot absorb. Candidates are
-// processed in active order (the discipline is order-free by design and
-// emits no feed-order tap). A candidate can be fed across several
-// rounds, so the wake keys are written once at the end, from the final
-// rates — the same values a post-feed scan would have read.
+// feedSpareEven water-fills spare equally across the gathered
+// candidates, redistributing what saturated clients cannot absorb.
+// Candidates are processed in active order (the discipline is
+// order-free by design and emits no feed-order tap). A candidate can be
+// fed across several rounds, so the wake keys are written once at the
+// end, from the final rates — the same values a post-feed scan would
+// have read.
 func (e *Engine) feedSpareEven(s *server, t float64, avail float64) {
-	e.gatherSpareCandidates(s, t, false)
 	if e.cand.Len() == 0 {
 		return
 	}
@@ -194,7 +216,7 @@ func (e *Engine) feedSpareEven(s *server, t float64, avail float64) {
 		remaining = next
 	}
 	for _, ent := range e.cand.All() {
-		ln.setWake(ent.Pos, e.wakeKeyServing(s, s.active[ent.Pos], int(ent.Pos), t))
+		ln.setWake(ent.Pos, e.wakeKeyServing(s, int(ent.Pos), t))
 	}
 }
 
@@ -236,6 +258,5 @@ func (e *Engine) allocateCopies(s *server, t float64, avail float64) float64 {
 // buffer room left: transmission must stop or the client buffer would
 // overflow (with no staging buffer at all, any pause stops the flow).
 func (e *Engine) pausedFullAt(s *server, i int, t float64) bool {
-	r := s.active[i]
-	return r.pausedView && s.bufferOf(i, t, e.cfg.ViewRate) >= r.bufCap-dataEps
+	return s.ln.paused[i] && s.bufferOf(i, t, e.cfg.ViewRate) >= s.ln.bufCap[i]-dataEps
 }
